@@ -6,17 +6,12 @@ stream as JSON Lines or CSV with a header row.  Exit codes: 2 for a
 configuration error, 1 for an internal failure, 0 otherwise.  Check suites
 exit 0 even when a conjecture verdict is "fails" (verdicts live in the
 report, never in the exit status).
-
-``--threads`` (default from HOOKCOMB_THREADS) is accepted for sweep
-commands; every computation is deterministic and independent of the
-worker count, so any value produces identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .experiments import (
@@ -74,12 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hookcomb",
         description="Hook configurations, Motzkin orders, and walk counts.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("HOOKCOMB_THREADS", "1")),
-        help="worker hint; output is identical for every value",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="hook-configuration counts by size")
@@ -136,9 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_count(args) -> int:
     lo, hi = _parse_range(args.n)
     pattern = Permutation.from_text(args.pattern)
-    use_formula = args.method == "formula" or (
-        args.method == "auto" and pattern == PATTERN_312
-    )
+    if args.method == "formula" and pattern != PATTERN_312:
+        raise ValueError(
+            f"--method formula counts only 312-avoiders, not {pattern}; "
+            f"use --method enumerate"
+        )
+    use_formula = pattern == PATTERN_312 and args.method != "enumerate"
     table = count_walks(max(hi - 1, 0)) if use_formula else None
     rows = []
     for n in range(lo, hi + 1):
@@ -329,8 +321,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, json.JSONDecodeError) as exc:

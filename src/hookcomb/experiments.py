@@ -296,22 +296,34 @@ def _derivative(poly: list[Fraction]) -> list[Fraction]:
     return _trim([poly[i] * i for i in range(1, len(poly))])
 
 
-def _rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of the long division of ``a`` by nonzero ``b``."""
     a = a[:]
+    quotient = [Fraction(0)] * (len(a) - len(b) + 1)
     while len(a) >= len(b) and _trim(a):
         factor = a[-1] / b[-1]
         shift = len(a) - len(b)
+        quotient[shift] = factor
         for i, c in enumerate(b):
             a[i + shift] -= factor * c
         _trim(a)
-    return a
+    return quotient, a
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = a[:], b[:]
     while _trim(b):
-        a, b = b, _rem(a, b)
+        a, b = b, _divmod(a, b)[1]
     return a
+
+
+def _square_free(coeffs: list[int]) -> list[Fraction]:
+    """The polynomial (coefficients low degree first) divided by its gcd
+    with its derivative: the same roots, each of them simple."""
+    poly = _trim([Fraction(c) for c in coeffs])
+    if len(poly) <= 1:
+        return poly
+    return _trim(_divmod(poly, _poly_gcd(poly, _derivative(poly)))[0])
 
 
 def _sign_at_infinity(poly: list[Fraction], positive: bool) -> int:
@@ -327,18 +339,11 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(filtered, filtered[1:]) if a != b)
 
 
-def distinct_real_roots(coeffs: list[int]) -> int:
-    """Number of distinct real roots of an integer polynomial (coefficients
-    low degree first), via the Sturm chain of its squarefree part."""
-    poly = _trim([Fraction(c) for c in coeffs])
-    if len(poly) <= 1:
-        return 0
-    g = _poly_gcd(poly, _derivative(poly))
-    if len(g) > 1:
-        poly = _trim(_quotient(poly, g))
+def _sturm_count(poly: list[Fraction]) -> int:
+    """Number of real roots of a nonconstant square-free polynomial."""
     chain = [poly, _derivative(poly)]
     while _trim(chain[-1]) and len(chain[-1]) > 1:
-        nxt = [-c for c in _rem(chain[-2], chain[-1])]
+        nxt = [-c for c in _divmod(chain[-2], chain[-1])[1]]
         if not _trim(nxt):
             break
         chain.append(nxt)
@@ -347,17 +352,11 @@ def distinct_real_roots(coeffs: list[int]) -> int:
     return at_minus - at_plus
 
 
-def _quotient(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and _trim(a):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        out[shift] = factor
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        _trim(a)
-    return out
+def distinct_real_roots(coeffs: list[int]) -> int:
+    """Number of distinct real roots of an integer polynomial (coefficients
+    low degree first), via the Sturm chain of its squarefree part."""
+    poly = _square_free(coeffs)
+    return _sturm_count(poly) if len(poly) > 1 else 0
 
 
 def real_rooted(coeffs: list[int]) -> bool:
@@ -366,14 +365,8 @@ def real_rooted(coeffs: list[int]) -> bool:
     A polynomial and its squarefree part have the same root set, so this
     reduces to counting distinct real roots of the squarefree part.
     """
-    poly = _trim([Fraction(c) for c in coeffs])
-    if len(poly) <= 1:
-        return True
-    g = _poly_gcd(poly, _derivative(poly))
-    square_free = _trim(_quotient(poly, g)) if len(g) > 1 else poly
-    degree = len(square_free) - 1
-    return distinct_real_roots([int(c * math.lcm(*(f.denominator for f in square_free)))
-                                for c in square_free]) == degree
+    poly = _square_free(coeffs)
+    return len(poly) <= 1 or _sturm_count(poly) == len(poly) - 1
 
 
 # --- asymptotic growth fit --------------------------------------------------

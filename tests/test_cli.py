@@ -90,6 +90,15 @@ class TestCount:
     def test_other_pattern(self):
         assert run("count", "--pattern", "321", "--n", "4").stdout == "6\n"
 
+    @pytest.mark.parametrize("pattern", ["132", "1234"])
+    def test_formula_refuses_other_patterns(self, pattern):
+        proc = run(
+            "count", "--pattern", pattern, "--n", "4", "--method", "formula",
+            check=False,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "312" in proc.stderr
+
     def test_bad_pattern_is_config_error(self):
         assert run("count", "--pattern", "99", "--n", "1", check=False).returncode == 2
 
@@ -173,26 +182,3 @@ class TestDeterminism:
         a = run("map", "--name", "ll", "--perm", "324156", "--ne", "3,6")
         b = run("map", "--name", "ll", "--perm", "324156", "--ne", "3,6")
         assert a.stdout == b.stdout
-
-    @pytest.mark.parametrize("threads", ["1", "2", "8"])
-    def test_thread_count_does_not_change_output(self, threads):
-        base = run("--threads", "1", "count", "--pattern", "312", "--n", "1..5")
-        other = run("--threads", threads, "count", "--pattern", "312", "--n", "1..5")
-        assert base.stdout == other.stdout
-
-    def test_threads_env_default(self):
-        import os
-        import subprocess
-
-        env = dict(os.environ, HOOKCOMB_THREADS="3")
-        proc = subprocess.run(
-            PYTHON + ["count", "--pattern", "312", "--n", "2"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0 and proc.stdout == "1\n"
-
-    def test_bad_thread_count(self):
-        assert run(
-            "--threads", "0", "count", "--pattern", "312", "--n", "1",
-            check=False,
-        ).returncode == 2

@@ -15,6 +15,7 @@ from hookcomb.perm import (
     descent_bottoms,
     descent_tops,
     find_occurrence,
+    _Guard3,
     ltr_extrema,
 )
 
@@ -120,9 +121,25 @@ class TestAvoiders:
         assert words == sorted(words)
 
     def test_length_4_pattern_uses_generic_guard(self):
-        sigma = Permutation((1, 2, 3, 4))
-        expected = brute_avoiders(6, sigma)
-        assert list(avoiders(6, sigma)) == expected
+        # also the lengths 1 and 2, which take the same guard
+        for text in ("1234", "2413", "1", "12", "21"):
+            sigma = perm(text)
+            assert list(avoiders(6, sigma)) == brute_avoiders(6, sigma), text
+
+    @pytest.mark.parametrize("sigma", ALL_S3)
+    @pytest.mark.parametrize("n", range(7))
+    def test_length_3_guard_has_no_dead_ends(self, n, sigma):
+        """``allows(x)`` holds exactly when prefix + x begins an avoider."""
+        members = [pi.entries for pi in brute_avoiders(n, sigma)]
+        prefixes = {word[:i] for word in members for i in range(n + 1)}
+        for prefix in prefixes:
+            used = bytearray(n + 1)
+            for v in prefix:
+                used[v] = 1
+            guard = _Guard3(sigma.entries, used)
+            for x in range(1, n + 1):
+                if not used[x]:
+                    assert guard.allows(x) == (prefix + (x,) in prefixes)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
