@@ -36,7 +36,7 @@ from .motzkin import Interval, MotzkinPath, enumerate_intervals
 from .perm import PATTERN_312, Permutation
 from .render import render_path, render_vhc
 from .vhc import Vhc, validate
-from .walks import count_walks, vhc312_count
+from .walks import count_walks, vhc312_series
 
 _COMPACT = {"separators": (",", ":")}
 
@@ -130,15 +130,14 @@ def _cmd_count(args) -> int:
             f"--method formula counts only 312-avoiders, not {pattern}; "
             f"use --method enumerate"
         )
-    use_formula = pattern == PATTERN_312 and args.method != "enumerate"
-    table = count_walks(max(hi - 1, 0)) if use_formula else None
-    rows = []
-    for n in range(lo, hi + 1):
-        if use_formula:
-            value = vhc312_count(n, table)
-        else:
-            value = vhc_count_exhaustive(n, pattern.entries)
-        rows.append((n, value))
+    if lo < 0:
+        raise ValueError("--n must be >= 0")
+    if pattern == PATTERN_312 and args.method != "enumerate":
+        series = vhc312_series(hi)
+        rows = [(n, series[n]) for n in range(lo, hi + 1)]
+    else:
+        rows = [(n, vhc_count_exhaustive(n, pattern.entries))
+                for n in range(lo, hi + 1)]
     if args.output == "csv":
         sys.stdout.write("n,count\n")
         for n, value in rows:

@@ -28,7 +28,7 @@ from .perm import (
     bruhat_leq,
 )
 from .vhc import enumerate_vhcs, is_reduced
-from .walks import CountTable, count_walks, vhc312_count
+from .walks import CountTable, count_walks, vhc312_series
 
 _TRIANGLE_LIMIT = 5
 _EQ2_LIMIT = 9
@@ -385,21 +385,22 @@ class AsymptoticFit:
 def asymptotic_fit(
     n_lo: int = 200,
     n_hi: int = 400,
-    counts: dict[int, int] | None = None,
+    counts: dict[int, int] | CountTable | None = None,
 ) -> AsymptoticFit:
     """Fit the growth constant and polynomial correction of the exact
     312-avoiding configuration counts over ``n_lo..n_hi``.
 
-    ``counts`` may supply precomputed (or synthetic) exact values; by
-    default the walk table is built once and the binomial transform is
-    evaluated across the window.  Exact integers are used throughout and
+    ``counts`` may supply precomputed (or synthetic) exact values indexed
+    by ``n``; by default they are read off one ``vhc312_series``, which
+    builds the walk table once.  Exact integers are used throughout and
     converted to floating point only at the final log stage.
     """
+    if n_lo < 1:
+        raise ValueError("window must start at n >= 1")
     if n_hi - n_lo + 1 < _MIN_FIT_POINTS:
         raise ValueError(f"window too small: need >= {_MIN_FIT_POINTS} points")
     if counts is None:
-        table = count_walks(n_hi - 1)
-        counts = {n: vhc312_count(n, table) for n in range(n_lo, n_hi + 1)}
+        counts = vhc312_series(n_hi)
     ns = list(range(n_lo, n_hi + 1))
     ys = [math.log(counts[n]) for n in ns]
     cols = [[float(n) for n in ns], [-math.log(n) for n in ns], [1.0] * len(ns)]

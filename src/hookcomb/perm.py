@@ -62,6 +62,15 @@ class Permutation:
                 raise ValueError(f"not a permutation of 1..{n}: {self.entries!r}")
             seen[v] = 1
 
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
+        """Wrap a word that the caller built as a permutation of ``1..n``,
+        without the check in ``__post_init__``.  For generators only; words
+        from outside go through ``Permutation(...)``."""
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "entries", entries)
+        return pi
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -206,7 +215,7 @@ def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
 
     def rec() -> Iterator[Permutation]:
         if len(prefix) == n:
-            yield Permutation(tuple(prefix))
+            yield Permutation._trusted(tuple(prefix))
             return
         for v in range(1, n + 1):
             if used[v] or not allows(v):

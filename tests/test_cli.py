@@ -102,6 +102,26 @@ class TestCount:
     def test_bad_pattern_is_config_error(self):
         assert run("count", "--pattern", "99", "--n", "1", check=False).returncode == 2
 
+    def test_methods_agree_from_the_empty_permutation(self):
+        outputs = {
+            method: run(
+                "count", "--pattern", "312", "--n", "0..9", "--method", method
+            ).stdout
+            for method in ("auto", "formula", "enumerate")
+        }
+        assert len(set(outputs.values())) == 1
+        first = json.loads(outputs["auto"].splitlines()[0])
+        assert first == {"pattern": "312", "n": 0, "count": "1"}
+
+    def test_negative_size_is_config_error(self):
+        proc = run("count", "--pattern", "312", "--n=-1..3", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+
+    def test_table_over_cap_fails_fast(self):
+        proc = run("count", "--pattern", "312", "--n", "1..1002", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "length 1002" in proc.stderr and "cap of 1001" in proc.stderr
+
 
 class TestSequencesAndChecks:
     def test_walks_csv_header(self):
@@ -111,6 +131,16 @@ class TestSequencesAndChecks:
     def test_walks_json(self):
         proc = run("walks", "--kmax", "3", "--output", "json")
         assert proc.stdout == '["1","0","1","1"]\n'
+
+    def test_walks_over_cap_fails_fast(self):
+        proc = run("walks", "--kmax", "1001", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "length 1002" in proc.stderr and "cap of 1001" in proc.stderr
+
+    def test_fit_over_cap_fails_fast(self):
+        proc = run("fit", "--window", "200:1002", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "length 1002" in proc.stderr and "cap of 1001" in proc.stderr
 
     def test_intervals_stream(self):
         proc = run("intervals", "--order", "T", "--n", "3")

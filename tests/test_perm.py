@@ -141,6 +141,14 @@ class TestAvoiders:
                 if not used[x]:
                     assert guard.allows(x) == (prefix + (x,) in prefixes)
 
+    def test_generated_words_pass_the_public_check(self):
+        # avoiders skips the constructor's check; the words must still pass it
+        for sigma in ALL_S3 + [perm("1324")]:
+            for pi in avoiders(6, sigma):
+                assert Permutation(pi.entries) == pi
+        with pytest.raises(ValueError):
+            Permutation((1, 3, 3))
+
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             list(avoiders(-1, PATTERN_312))

@@ -5,12 +5,16 @@ import pytest
 from hookcomb.walks import (
     ALLOWED_STEP_PAIRS,
     STEPS,
+    _KMAX_LIMIT,
     count_pairs,
     count_walks,
     enumerate_restricted_pairs,
     enumerate_walks,
     vhc312_count,
+    vhc312_series,
 )
+
+from .conftest import binomial_sum, dict_walk_counts
 
 
 def walks_by_product(k: int) -> int:
@@ -57,6 +61,22 @@ class TestWalkCounts:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             count_walks(-1)
+
+    @pytest.mark.parametrize("k_max", range(81))
+    def test_packed_dp_matches_dict_dp(self, k_max):
+        # the pruning depends on k_max, so every table is its own case
+        assert count_walks(k_max).values == dict_walk_counts(k_max)
+
+    def test_packed_dp_matches_dict_dp_at_200(self):
+        assert count_walks(200).values == dict_walk_counts(200)
+
+    def test_over_cap_refused(self):
+        assert _KMAX_LIMIT > 400
+        with pytest.raises(ValueError) as info:
+            count_walks(_KMAX_LIMIT + 1)
+        message = str(info.value)
+        assert f"length {_KMAX_LIMIT + 2}" in message
+        assert f"cap of {_KMAX_LIMIT + 1}" in message
 
 
 class TestEnumerate:
@@ -130,3 +150,32 @@ class TestVhc312Count:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             vhc312_count(0)
+
+
+class TestVhc312Series:
+    def test_difference_pass_equals_binomial_sums_to_150(self):
+        table = count_walks(149)
+        series = vhc312_series(150, table)
+        assert len(series) == 151
+        assert series[0] == 1
+        for n in range(1, 151):
+            assert series[n] == binomial_sum(table, n - 1), f"n={n}"
+
+    def test_builds_its_own_table(self):
+        assert vhc312_series(9).values == (1, 1, 1, 2, 5, 14, 44, 148, 528, 1972)
+
+    def test_short_table_is_rebuilt(self):
+        assert vhc312_series(9, count_walks(3)) == vhc312_series(9)
+
+    def test_empty_permutation_only(self):
+        assert vhc312_series(0).values == (1,)
+
+    def test_single_values_read_the_series(self, walk_table_small):
+        series = vhc312_series(17, walk_table_small)
+        for n in range(1, 18):
+            assert vhc312_count(n, walk_table_small) == series[n]
+            assert count_pairs(n - 1, walk_table_small) == series[n]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            vhc312_series(-1)
