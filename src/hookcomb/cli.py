@@ -23,7 +23,7 @@ from .experiments import (
     vhc_count_exhaustive,
 )
 from .maps import (
-    ll_inverse_lookup,
+    ll_inverse,
     ll_map,
     phi,
     phi_inverse,
@@ -215,10 +215,11 @@ def _cmd_map(args) -> int:
         _need(args, "lower", "upper", "n")
         interval = Interval(MotzkinPath(args.lower), MotzkinPath(args.upper), "C")
         audit_input = {"lower": args.lower, "upper": args.upper, "n": args.n}
-        v = ll_inverse_lookup(interval, args.n)
-        result = (
-            {"perm": str(v.pi), "ne": sorted(v.ne_set)} if v is not None else None
-        )
+        if len(interval.lower) != args.n - 1:
+            raise ValueError(f"interval has length {len(interval.lower)}, "
+                             f"expected {args.n - 1}")
+        v = ll_inverse(interval)  # never None: both paths share one class
+        result = {"perm": str(v.pi), "ne": sorted(v.ne_set)}
     if args.audit:
         sys.stdout.write(
             _jdump({"input": audit_input, "output": result, "map": name}) + "\n"

@@ -21,14 +21,18 @@ The four families of maps implemented here:
 * ``ll_map`` encodes a configuration on a 312-avoider as a pair of Motzkin
   paths read off the gaps between consecutive left-to-right maxima
   (horizontal gaps for the lower path, vertical gaps for the upper one).
-  It is a bijection onto the class-order intervals; ``phi`` further
-  re-encodes an interval as a step-restricted pair of paths.
+  It is a bijection onto the class-order intervals, which ``ll_inverse``
+  undoes by construction; ``phi`` further re-encodes an interval as a
+  step-restricted pair of paths.
+
+Public functions check their permutation's pattern class and their
+configuration once; the slide loop and the stripe decomposition they share
+trust their input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .motzkin import (
     Interval,
@@ -43,14 +47,11 @@ from .perm import (
     PATTERN_312,
     Permutation,
     Point,
-    avoiders,
     find_occurrence,
     ltr_extrema,
 )
-from .vhc import Hook, Vhc, enumerate_vhcs, validate
+from .vhc import Hook, Vhc, validate
 from .walks import ALLOWED_STEP_PAIRS
-
-_LOOKUP_LIMIT = 11
 
 
 def _require_avoiding(pi: Permutation, sigma: Permutation, op: str) -> None:
@@ -83,6 +84,13 @@ def _slide(pi: Permutation, height: int, below_first: bool) -> Permutation:
     return Permutation(first + second + pi.entries[m - 1 :])
 
 
+def _slide_all(pi: Permutation, below_first: bool) -> Permutation:
+    """Slide at every height, ``n`` first; the caller checks the class."""
+    for h in range(pi.n, 0, -1):
+        pi = _slide(pi, h, below_first)
+    return pi
+
+
 def swl_at(pi: Permutation, height: int) -> Permutation:
     """Move the points southwest of the point at ``height`` left of the
     points northwest of it; everything from that point on is unchanged."""
@@ -101,19 +109,13 @@ def swl(tau: Permutation) -> Permutation:
     Defined on 132-avoiders only; maps onto the 312-avoiders.
     """
     _require_avoiding(tau, PATTERN_132, "swl")
-    cur = tau
-    for h in range(tau.n, 0, -1):
-        cur = swl_at(cur, h)
-    return cur
+    return _slide_all(tau, below_first=True)
 
 
 def swr(pi: Permutation) -> Permutation:
     """Inverse of ``swl``: defined on 312-avoiders, maps onto 132-avoiders."""
     _require_avoiding(pi, PATTERN_312, "swr")
-    cur = pi
-    for h in range(pi.n, 0, -1):
-        cur = swr_at(cur, h)
-    return cur
+    return _slide_all(pi, below_first=False)
 
 
 def point_image(image: Permutation, p: Point) -> Point:
@@ -148,9 +150,17 @@ class StripeDecomposition:
     stripes: tuple[tuple[Point, ...], ...]
     representatives: tuple[Point, ...]
 
+    def rightmost(self) -> dict[Point, Point]:
+        """``nw_inv`` of each representative: the last point of its stripe."""
+        return {m: s[-1] for m, s in zip(self.representatives, self.stripes)}
+
 
 def stripes(pi: Permutation) -> StripeDecomposition:
     _require_avoiding(pi, PATTERN_312, "stripes")
+    return _stripes(pi)
+
+
+def _stripes(pi: Permutation) -> StripeDecomposition:
     maxima = ltr_extrema(pi, "maxima")
     groups: dict[Point, list[Point]] = {m: [] for m in maxima}
     for p in pi.points():
@@ -159,24 +169,19 @@ def stripes(pi: Permutation) -> StripeDecomposition:
         values = [p.value for p in members]
         if values != sorted(values, reverse=True):  # stripes descend
             raise AssertionError(f"stripe of {m} not descending in {pi}")
-    ordered = sorted(maxima, key=lambda m: m.value)
     return StripeDecomposition(
-        stripes=tuple(tuple(groups[m]) for m in ordered),
-        representatives=tuple(ordered),
+        stripes=tuple(tuple(groups[m]) for m in maxima),
+        representatives=maxima,  # maxima rise left to right
     )
 
 
 def nw_inv(pi: Permutation, m: Point) -> Point:
     """Rightmost point of the stripe of a left-to-right maximum."""
     _require_avoiding(pi, PATTERN_312, "nw_inv")
-    maxima = ltr_extrema(pi, "maxima")
-    if m not in maxima:
+    rightmost = _stripes(pi).rightmost()
+    if m not in rightmost:
         raise ValueError(f"{m} is not a left-to-right maximum of {pi}")
-    best = m
-    for p in pi.points():
-        if p.index > best.index and _nw_of(maxima, p) == m:
-            best = p
-    return best
+    return rightmost[m]
 
 
 # --- configuration transfer ------------------------------------------------
@@ -193,7 +198,7 @@ def w_map(v: Vhc) -> Vhc:
     _require_vhc(v)
     tau = v.pi
     _require_avoiding(tau, PATTERN_132, "w_map")
-    image = swl(tau)
+    image = _slide_all(tau, below_first=True)
     maxima = ltr_extrema(image, "maxima")
     ne = frozenset(
         _nw_of(maxima, point_image(image, tau.point(i))).index for i in v.ne_set
@@ -229,13 +234,9 @@ def w_map_left_inverse(w: Vhc) -> PullbackResult:
     _require_vhc(w)
     pi = w.pi
     _require_avoiding(pi, PATTERN_312, "w_map_left_inverse")
-    tau = swr(pi)
-    candidates = set()
-    for i in sorted(w.ne_set):
-        m = pi.point(i)
-        rightmost = nw_inv(pi, m)
-        candidates.add(point_image(tau, rightmost).index)
-    ne = frozenset(candidates)
+    tau = _slide_all(pi, below_first=False)
+    rightmost = _stripes(pi).rightmost()
+    ne = frozenset(point_image(tau, rightmost[pi.point(i)]).index for i in w.ne_set)
     return PullbackResult(tau, ne, validate(tau, ne))
 
 
@@ -267,29 +268,18 @@ def ll_frame(v: Vhc) -> LLFrame:
     if pi.n < 1:
         raise ValueError("frame needs a nonempty permutation")
     _require_avoiding(pi, PATTERN_312, "ll_frame")
-    maxima = list(reversed(ltr_extrema(pi, "maxima"))) + [Point(0, 0)]
+    maxima = tuple(reversed(ltr_extrema(pi, "maxima"))) + (Point(0, 0),)
     n = pi.n
     if maxima[0] != Point(n, n):
         raise AssertionError(f"{pi} has a configuration but does not end at {n}")
-    ell = len(maxima) - 2  # number of gaps
-    points = pi.points()
-    gammas = []
-    gamma_primes = []
-    letters = []
-    for i in range(1, ell + 1):
-        right, left = maxima[i - 1], maxima[i]
-        gammas.append(
-            sum(1 for p in points if left.index < p.index < right.index)
-        )
-        upper, lower = maxima[i], maxima[i + 1]
-        gamma_primes.append(
-            sum(1 for p in points if lower.value < p.value < upper.value)
-        )
-        letters.append("U" if maxima[i - 1].index in v.ne_set else "E")
-    frame = LLFrame(tuple(maxima), tuple(gammas), tuple(gamma_primes), tuple(letters))
-    if sum(frame.gammas) != n - ell - 1 or sum(frame.gamma_primes) != n - ell - 1:
-        raise AssertionError(f"gap counts of {v.to_json()} do not partition the plot")
-    return frame
+    # every index and every value holds one point, so a gap is a difference
+    right, left, below = maxima[:-2], maxima[1:-1], maxima[2:]
+    return LLFrame(
+        maxima,
+        tuple(r.index - m.index - 1 for r, m in zip(right, left)),
+        tuple(m.value - b.value - 1 for m, b in zip(left, below)),
+        tuple("U" if r.index in v.ne_set else "E" for r in right),
+    )
 
 
 def ll_map(v: Vhc) -> Interval:
@@ -300,43 +290,49 @@ def ll_map(v: Vhc) -> Interval:
     both have length ``n - 1``.
     """
     frame = ll_frame(v)
-    lower = "".join(
-        x + "D" * g for x, g in zip(frame.letters, frame.gammas)
-    )
-    upper = "".join(
-        x + "D" * g for x, g in zip(frame.letters, frame.gamma_primes)
+    lower, upper = (
+        "".join(x + "D" * g for x, g in zip(frame.letters, gaps))
+        for gaps in (frame.gammas, frame.gamma_primes)
     )
     return Interval(MotzkinPath(lower), MotzkinPath(upper), "C")
 
 
-@lru_cache(maxsize=None)
-def _ll_table(n: int) -> dict[tuple[str, str], tuple[tuple[int, ...], frozenset[int]]]:
-    table: dict[tuple[str, str], tuple[tuple[int, ...], frozenset[int]]] = {}
-    for pi in avoiders(n, PATTERN_312):
-        for v in enumerate_vhcs(pi):
-            interval = ll_map(v)
-            key = (interval.lower.steps, interval.upper.steps)
-            if key in table:
-                raise AssertionError(f"interval code collision at {key}")
-            table[key] = (pi.entries, v.ne_set)
-    return table
+def ll_inverse(interval: Interval) -> Vhc | None:
+    """Invert ``ll_map``, or return ``None`` when the paths differ in class.
 
-
-def ll_inverse_lookup(interval: Interval, n: int) -> Vhc | None:
-    """Invert ``ll_map`` by memoized enumeration (desk scale only)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _LOOKUP_LIMIT:
-        raise ValueError(f"lookup inversion enumerates Catalan-many "
-                         f"permutations; n <= {_LOOKUP_LIMIT}")
-    if len(interval.lower) != n - 1:
-        raise ValueError(f"interval has length {len(interval.lower)}, expected {n - 1}")
-    entry = _ll_table(n).get((interval.lower.steps, interval.upper.steps))
-    if entry is None:
+    The permutation has size ``n = len(lower) + 1``.  Right to left, its
+    left-to-right maxima are one per letter and a last one at position 1.
+    The letter at offset ``i`` of the lower path sits at position ``n - i``
+    (``U`` marks a northeast endpoint); the first maximum has value ``n``,
+    and the one after the letter at offset ``i`` of the upper path has
+    value ``n - 1 - i``.  Every other point takes the largest unused value
+    below the maximum ``m`` before it, the only choice that avoids 312: a
+    larger unused value below ``m`` would come later and complete a 312
+    with ``m`` and this point.  So the candidate is unique, and as
+    ``ll_map`` is onto the class-order intervals, it is the preimage.
+    """
+    if path_class(interval.lower) != path_class(interval.upper):
         return None
-    pi_entries, ne = entry
-    out = validate(Permutation(pi_entries), ne)
-    assert out is not None
+    lower, upper = interval.lower.steps, interval.upper.steps
+    n = len(lower) + 1
+    lower_at = [i for i, s in enumerate(lower) if s != "D"]
+    upper_at = [i for i, s in enumerate(upper) if s != "D"]
+    positions = [n - i for i in lower_at] + [1]
+    maximum_at = dict(zip(positions, [n] + [n - 1 - i for i in upper_at]))
+    entries: list[int] = []
+    below: list[int] = []  # unused values under the last maximum, ascending
+    top = 0
+    for i in range(1, n + 1):
+        if i in maximum_at:
+            below.extend(range(top + 1, maximum_at[i]))
+            top = maximum_at[i]
+            entries.append(top)
+        else:
+            entries.append(below.pop())
+    ne = frozenset(n - i for i in lower_at if lower[i] == "U")
+    out = validate(Permutation(tuple(entries)), ne)
+    if out is None:
+        raise AssertionError(f"no configuration with code {interval.to_json()}")
     return out
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 ORDERS = ("S", "C", "T")
@@ -75,12 +76,7 @@ class MotzkinPath:
 
     def heights(self) -> tuple[int, ...]:
         """Running height after each step."""
-        out = []
-        h = 0
-        for s in self.steps:
-            h += _DISPLACEMENT[s]
-            out.append(h)
-        return tuple(out)
+        return tuple(accumulate(_DISPLACEMENT[s] for s in self.steps))
 
 
 def path_class(p: MotzkinPath) -> str:
@@ -163,19 +159,22 @@ def reconstruct(cls_word: str, supp: str) -> MotzkinPath | None:
         return None
 
 
-def leq(order: str, p: MotzkinPath, q: MotzkinPath) -> bool:
-    """Compare two equal-length paths in order S, C, or T."""
+def _comparison(order: str):
+    """The class filter and pointwise statistic of ``order``: ``p <= q``
+    when the filters agree and ``p``'s statistic is nowhere above ``q``'s."""
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+    class_of = (lambda p: "") if order == "S" else path_class
+    return class_of, lng_all if order == "T" else MotzkinPath.heights
+
+
+def leq(order: str, p: MotzkinPath, q: MotzkinPath) -> bool:
+    """Compare two equal-length paths in order S, C, or T."""
+    class_of, statistic = _comparison(order)
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    if order == "S":
-        return all(hp <= hq for hp, hq in zip(p.heights(), q.heights()))
-    if path_class(p) != path_class(q):
-        return False
-    if order == "C":
-        return all(hp <= hq for hp, hq in zip(p.heights(), q.heights()))
-    return all(a <= b for a, b in zip(lng_all(p), lng_all(q)))
+    same_class = class_of(p) == class_of(q)
+    return same_class and all(a <= b for a, b in zip(statistic(p), statistic(q)))
 
 
 @dataclass(frozen=True)
@@ -236,13 +235,16 @@ def enumerate_paths(n: int) -> Iterator[MotzkinPath]:
 
 def enumerate_intervals(order: str, n: int) -> Iterator[Interval]:
     """All order-related pairs of length-``n`` paths, lower path major,
-    both components in the U < D < E lexicographic order."""
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
-    paths = list(enumerate_paths(n))
-    for lower in paths:
-        for upper in paths:
-            if leq(order, lower, upper):
+    both components in the U < D < E lexicographic order.  A lower path
+    meets only the paths of its own class (S has one class)."""
+    class_of, statistic = _comparison(order)
+    keyed = [(class_of(p), statistic(p), p) for p in enumerate_paths(n)]
+    by_class: dict[str, list[tuple[tuple[int, ...], MotzkinPath]]] = {}
+    for cls, stat, p in keyed:
+        by_class.setdefault(cls, []).append((stat, p))
+    for cls, stat, lower in keyed:
+        for upper_stat, upper in by_class[cls]:
+            if all(a <= b for a, b in zip(stat, upper_stat)):
                 yield Interval(lower, upper, order)
 
 

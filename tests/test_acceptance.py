@@ -33,7 +33,7 @@ from hookcomb.perm import (
     contains_pattern,
 )
 from hookcomb.vhc import enumerate_vhcs, validate, validate_bruteforce
-from hookcomb.walks import count_pairs, count_walks, vhc312_count
+from hookcomb.walks import count_pairs, count_walks, vhc312_count, vhc312_series
 
 from .conftest import all_permutations
 
@@ -248,8 +248,8 @@ def test_criterion_09_asymptotic_fit():
     recovers (2, 0) to 1e-6.  The dynamic program to n = 400 runs inside
     the budget window."""
     with criterion(9, budget_seconds=1200):
-        table = count_walks(399)
-        counts = {n: vhc312_count(n, table) for n in range(200, 401)}
+        series = vhc312_series(400, count_walks(399))
+        counts = {n: series[n] for n in range(200, 401)}
         fit = asymptotic_fit(200, 400, counts=counts)
         assert abs(fit.growth_hat - 5.729) / 5.729 < 0.02, fit
         assert abs(fit.alpha_hat - 4.515) < 1.0, fit

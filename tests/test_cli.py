@@ -57,6 +57,25 @@ class TestMap:
         )
         assert json.loads(proc.stdout) == {"perm": "324156", "ne": [3, 6]}
 
+    def test_llinv_rejects_length_mismatch(self):
+        # the code of a size-3 configuration has length 2
+        proc = run(
+            "map", "--name", "llinv", "--lower", "E", "--upper", "E", "--n", "3",
+            check=False,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "interval has length 1, expected 2" in proc.stderr
+
+    def test_llinv_has_no_size_cap(self):
+        lower, upper = "UEDUDUEDUDE", "UEUDDUEUDDE"
+        proc = run("map", "--name", "llinv", "--lower", lower, "--upper", upper,
+                   "--n", "12")
+        v = json.loads(proc.stdout)
+        assert len(v["perm"].split(",")) == 12
+        proc = run("map", "--name", "ll", "--perm", v["perm"],
+                   "--ne", ",".join(map(str, v["ne"])))
+        assert json.loads(proc.stdout) == {"lower": lower, "upper": upper, "order": "C"}
+
     def test_invalid_configuration_is_config_error(self):
         proc = run("map", "--name", "ll", "--perm", "21", "--ne", "2", check=False)
         assert proc.returncode == 2

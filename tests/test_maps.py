@@ -2,7 +2,7 @@ import pytest
 
 from hookcomb.maps import (
     ll_frame,
-    ll_inverse_lookup,
+    ll_inverse,
     ll_map,
     nw,
     nw_inv,
@@ -310,14 +310,18 @@ class TestIntervalCode:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_lookup_inverts(self, n):
         for v in all_vhcs(n, PATTERN_312):
-            assert ll_inverse_lookup(ll_map(v), n) == v
+            assert ll_inverse(ll_map(v)) == v
 
-    def test_lookup_rejects_length_mismatch(self):
-        # the code of a size-3 configuration has length 2
-        with pytest.raises(ValueError):
-            ll_inverse_lookup(
-                Interval(MotzkinPath("E"), MotzkinPath("E"), "C"), 3
-            )
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_inverse_of_every_class_interval(self, n):
+        from hookcomb.motzkin import enumerate_intervals
+
+        for interval in enumerate_intervals("C", n - 1):
+            assert ll_map(ll_inverse(interval)) == interval
+
+    def test_inverse_of_paths_in_different_classes_is_none(self):
+        interval = Interval(MotzkinPath("EE"), MotzkinPath("UD"), "S")
+        assert ll_inverse(interval) is None
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_hook_width_matches_lng(self, n):
@@ -454,3 +458,38 @@ class TestPivotsAndTamari:
                         found = True
                         break
                 assert found, (v.to_json(), i)
+
+
+class TestGuards:
+    """The O(n^3) pattern guard runs once per public call, not again in the
+    steps that call builds on."""
+
+    @pytest.fixture
+    def guard_calls(self, monkeypatch):
+        import hookcomb.maps
+
+        calls = []
+        real = hookcomb.maps.find_occurrence
+
+        def counted(pi, sigma):
+            calls.append(sigma)
+            return real(pi, sigma)
+
+        monkeypatch.setattr(hookcomb.maps, "find_occurrence", counted)
+        return calls
+
+    def test_one_guard_per_transfer(self, guard_calls):
+        for v in all_vhcs(6, PATTERN_132):
+            guard_calls.clear()
+            w = w_map(v)
+            assert guard_calls == [PATTERN_132]
+            guard_calls.clear()
+            w_map_left_inverse(w)
+            assert guard_calls == [PATTERN_312]
+
+    def test_no_guard_in_inverse_code(self, guard_calls):
+        from hookcomb.motzkin import enumerate_intervals
+
+        for interval in enumerate_intervals("C", 6):
+            ll_inverse(interval)
+        assert guard_calls == []

@@ -186,6 +186,15 @@ class TestEnumeration:
             ("EEE", "EEE"),
         ]
 
+    @pytest.mark.parametrize("order", ["S", "C", "T"])
+    @pytest.mark.parametrize("n", range(8))
+    def test_intervals_match_all_pairs_filter(self, order, n):
+        """Pairing within a class yields the all-pairs ``leq`` filter, in
+        the same order."""
+        ps = paths(n)
+        expected = [Interval(p, q, order) for p in ps for q in ps if leq(order, p, q)]
+        assert list(enumerate_intervals(order, n)) == expected
+
     def test_intervals_c3(self):
         assert sum(1 for _ in enumerate_intervals("C", 3)) == 5
 
