@@ -196,8 +196,13 @@ def w_map(v: Vhc) -> Vhc:
     stripes, so the transfer is injective.
     """
     _require_vhc(v)
+    _require_avoiding(v.pi, PATTERN_132, "w_map")
+    return _w_map(v)
+
+
+def _w_map(v: Vhc) -> Vhc:
+    """``w_map`` of a valid configuration on a 132-avoider, unchecked."""
     tau = v.pi
-    _require_avoiding(tau, PATTERN_132, "w_map")
     image = _slide_all(tau, below_first=True)
     maxima = ltr_extrema(image, "maxima")
     ne = frozenset(
@@ -264,10 +269,14 @@ class LLFrame:
 
 def ll_frame(v: Vhc) -> LLFrame:
     _require_vhc(v)
-    pi = v.pi
-    if pi.n < 1:
+    if v.pi.n < 1:
         raise ValueError("frame needs a nonempty permutation")
-    _require_avoiding(pi, PATTERN_312, "ll_frame")
+    _require_avoiding(v.pi, PATTERN_312, "ll_frame")
+    return _ll_frame(v)
+
+
+def _ll_frame(v: Vhc) -> LLFrame:
+    pi = v.pi
     maxima = tuple(reversed(ltr_extrema(pi, "maxima"))) + (Point(0, 0),)
     n = pi.n
     if maxima[0] != Point(n, n):
@@ -289,7 +298,10 @@ def ll_map(v: Vhc) -> Interval:
     gap counts as down runs, the upper path uses the vertical gap counts;
     both have length ``n - 1``.
     """
-    frame = ll_frame(v)
+    return _ll_map(ll_frame(v))
+
+
+def _ll_map(frame: LLFrame) -> Interval:
     lower, upper = (
         "".join(x + "D" * g for x, g in zip(frame.letters, gaps))
         for gaps in (frame.gammas, frame.gamma_primes)

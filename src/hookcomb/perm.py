@@ -100,10 +100,6 @@ class Permutation:
         return tuple(Point(i + 1, v) for i, v in enumerate(self.entries))
 
     @classmethod
-    def of(cls, *values: int) -> "Permutation":
-        return cls(tuple(values))
-
-    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
@@ -171,10 +167,6 @@ def _order_isomorphic(word: tuple[int, ...], sig: tuple[int, ...]) -> bool:
 def contains_pattern(pi: Permutation, sigma: Permutation) -> bool:
     """True when some subsequence of ``pi`` is order-isomorphic to ``sigma``."""
     return find_occurrence(pi, sigma) is not None
-
-
-def avoids(pi: Permutation, sigma: Permutation) -> bool:
-    return find_occurrence(pi, sigma) is None
 
 
 def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:

@@ -285,14 +285,15 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[Vhc]:
 # --- reduction -------------------------------------------------------------
 
 
+def _kept(v: Vhc) -> set[int]:
+    """Indices of the hook endpoints and the descent bottoms."""
+    ends = {p.index for hook in v.matching for p in hook}
+    return ends.union(p.index for p in descent_bottoms(v.pi))
+
+
 def is_reduced(v: Vhc) -> bool:
     """True when every plot point is a hook endpoint or a descent bottom."""
-    covered = set()
-    for hook in v.matching:
-        covered.add(hook.sw.index)
-        covered.add(hook.ne.index)
-    covered.update(p.index for p in descent_bottoms(v.pi))
-    return len(covered) == v.pi.n
+    return len(_kept(v)) == v.pi.n
 
 
 def restrict(v: Vhc) -> tuple[Vhc, tuple[int, ...]]:
@@ -303,12 +304,7 @@ def restrict(v: Vhc) -> tuple[Vhc, tuple[int, ...]]:
     together with the sorted tuple of surviving indices.  The result is
     always reduced.
     """
-    keep = set()
-    for hook in v.matching:
-        keep.add(hook.sw.index)
-        keep.add(hook.ne.index)
-    keep.update(p.index for p in descent_bottoms(v.pi))
-    kept = sorted(keep)
+    kept = sorted(_kept(v))
     values = [v.pi.value_at(i) for i in kept]
     ranks = {val: r + 1 for r, val in enumerate(sorted(values))}
     sub = Permutation(tuple(ranks[val] for val in values))

@@ -7,8 +7,8 @@ the origin, stay in the quadrant ``x >= 0, y >= 0``, and use the step set
 
 Everything is computed with exact big integers: the counts grow roughly
 like ``4.729^k`` and overflow 64 bits near ``k = 34``.  The dynamic program
-``count_walks`` is the single source of truth at scale; ``enumerate_walks``
-is the exponential oracle used to cross-check it at small ``k``.
+``count_walks`` is the single source of truth; the tests cross-check it
+against a walk enumerator and a plain dict DP.
 
 The DP indexes a state ``(x, y)`` by its level ``u = x + y`` and by ``x``,
 so row ``u`` holds the ``u + 1`` states ``0 <= x <= u``.  In these
@@ -23,11 +23,19 @@ row is packed into one Python integer, ``x`` in the slot of bits
 ``t`` exceeds ``5^t <= 5^k_max < 2^W``, and neither does any partial sum
 of the five terms, so a slot never carries into the next one: a whole row
 updates with a few shifts, additions and one subtraction that clears the
-slot past its end, all in C.  (Clearing it with a stored mask per row was
-no faster and kept a third copy of the table alive: 55 MB against 36 MB
-peak at ``k_max = 800``.)
+slot past its end, all in C.  (A stored mask per row was no faster and
+kept a third copy of the table alive: 55 MB against 36 MB at k = 800.)
 
-The same table feeds one binomial transform, ``vhc312_series``, which
+The same loop splits the counts by the number ``h`` of y-raising steps,
+(-1,1) and (0,1), the terms ``old[u][x+1]`` and ``old[u-1][x]``, when it
+weights each such step by ``Z = 2^b`` with ``b = (5**k_max).bit_length()``.
+A slot then holds a polynomial ``sum(c_h * Z^h)`` with ``h <= k_max`` and
+every ``c_h <= 5^k_max < Z``, so slots of ``W = b * (k_max + 1)`` bits
+still never carry, and entry ``k`` is ``sum(w(k, h) * Z^h)``.  Under the
+bijections of ``maps`` the hooks of a configuration are the y-raising
+steps of its walk, which is how ``experiments.triangle`` reads it.
+
+The plain table feeds one binomial transform, ``vhc312_series``, which
 yields every term from a single difference-table pass:
 
 * ``vhc312_series(n)[n]``: the number of valid hook configurations on
@@ -44,9 +52,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
-
-from .motzkin import MotzkinPath, enumerate_paths
 
 STEPS: tuple[tuple[int, int], ...] = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1))
 
@@ -55,7 +60,6 @@ ALLOWED_STEP_PAIRS = frozenset(
     [("D", "E"), ("D", "U"), ("E", "D"), ("E", "E"), ("E", "U"), ("U", "D")]
 )
 
-_ENUM_LIMIT = 10
 #: largest ``k_max`` that ``count_walks`` builds: about 20 s and 60 MB peak
 #: at the cap on a 2-core Xeon with Python 3.11 (0.5 s at 400, 8 s at 800)
 _KMAX_LIMIT = 1000
@@ -99,18 +103,8 @@ class CountTable:
 
 
 def count_walks(k_max: int) -> CountTable:
-    """Walk counts for lengths ``0..k_max`` by dynamic programming.
-
-    One forward pass over packed rows: ``rows[u]`` holds the counts of the
-    states on level ``u = x + y``, state ``x`` in the ``W``-bit slot ``x``
-    (see the module docstring for the recurrence and the no-carry bound
-    ``5^k_max < 2^W``).  A state with ``x + y`` larger than the steps still
-    available can never return to the origin (each step lowers ``x + y``
-    by at most 1), so step ``t`` keeps only the rows
-    ``u <= min(t, k_max - t)``.  Row 0 is the origin alone, so its integer
-    is the count of closed walks.  Tables longer than ``_KMAX_LIMIT + 1``
-    are refused before any work.
-    """
+    """Walk counts for lengths ``0..k_max`` by the packed DP.  Tables
+    longer than ``_KMAX_LIMIT + 1`` are refused before any work."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if k_max > _KMAX_LIMIT:
@@ -118,7 +112,15 @@ def count_walks(k_max: int) -> CountTable:
             f"a walk table of length {k_max + 1} (k = 0..{k_max}) is over "
             f"the cap of {_KMAX_LIMIT + 1} (k <= {_KMAX_LIMIT})"
         )
-    width = (5**k_max).bit_length()
+    return CountTable("w", _walk_counts(k_max, 0))
+
+
+def _walk_counts(k_max: int, hook_bits: int) -> tuple[int, ...]:
+    """The packed DP, each y-raising step weighted by ``Z = 2^hook_bits``
+    (weight 1 at ``hook_bits = 0``).  A state with ``x + y`` above the
+    steps left cannot return to the origin, so step ``t`` keeps the rows
+    ``u <= min(t, k_max - t)``; row 0 is the origin alone."""
+    width = hook_bits * (k_max + 1) or (5**k_max).bit_length()
     values = [0] * (k_max + 1)
     values[0] = 1
     rows = [1]
@@ -132,46 +134,13 @@ def count_walks(k_max: int) -> CountTable:
             # old[u+1][x] + old[u][x-1], with a stray slot u + 1 to clear
             low = up + (cur << width)
             top = width * (u + 1)
-            # old[u+1][x+1] + old[u][x+1] is one shift of the slotwise sum
-            rows.append(low - (low >> top << top) + ((up + cur) >> width) + down)
+            low -= low >> top << top
+            if hook_bits:  # old[u][x+1] and old[u-1][x] raise y
+                rows.append(low + (up >> width) + ((cur >> width) + down << hook_bits))
+            else:  # old[u+1][x+1] + old[u][x+1] is one shift of the slotwise sum
+                rows.append(low + ((up + cur) >> width) + down)
         values[t] = rows[0]
-    return CountTable("w", tuple(values))
-
-
-def enumerate_walks(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Every closed quadrant walk of length ``k``, once each, in step-tuple
-    lexicographic order.  Exponential; refuses ``k > 10``."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > _ENUM_LIMIT:
-        raise ValueError(f"enumerate_walks is exponential; k <= {_ENUM_LIMIT}")
-    path: list[tuple[int, int]] = []
-
-    def rec(x: int, y: int, remaining: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if remaining == 0:
-            if x == 0 and y == 0:
-                yield tuple(path)
-            return
-        if x + y > remaining:
-            return
-        for step in STEPS:
-            nx, ny = x + step[0], y + step[1]
-            if nx >= 0 and ny >= 0:
-                path.append(step)
-                yield from rec(nx, ny, remaining - 1)
-                path.pop()
-
-    yield from rec(0, 0, k)
-
-
-def enumerate_restricted_pairs(n: int) -> Iterator[tuple[MotzkinPath, MotzkinPath]]:
-    """All pairs of length-``n`` Motzkin paths with allowed coordinatewise
-    steps, by filtering the full product."""
-    paths = list(enumerate_paths(n))
-    for x in paths:
-        for y in paths:
-            if all((a, b) in ALLOWED_STEP_PAIRS for a, b in zip(x.steps, y.steps)):
-                yield x, y
+    return tuple(values)
 
 
 def count_pairs(n: int, table: CountTable | None = None) -> int:
@@ -180,7 +149,6 @@ def count_pairs(n: int, table: CountTable | None = None) -> int:
     A pair flattens to a quadrant walk of length ``n - (number of (E, E)
     positions)`` plus the choice of those positions, hence the binomial
     transform, which is the 312 configuration count one size up.
-    ``enumerate_restricted_pairs`` is the oracle the tests compare it with.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

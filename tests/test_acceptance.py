@@ -21,7 +21,6 @@ from hookcomb.experiments import (
     check_conjectures,
     check_eq2,
     triangle,
-    vhc_tallies_312,
 )
 from hookcomb.maps import ll_map, phi, phi_inverse, swl, swr, w_map, w_map_left_inverse
 from hookcomb.motzkin import enumerate_intervals
@@ -35,7 +34,7 @@ from hookcomb.perm import (
 from hookcomb.vhc import enumerate_vhcs, validate, validate_bruteforce
 from hookcomb.walks import count_pairs, count_walks, vhc312_count, vhc312_series
 
-from .conftest import all_permutations
+from .conftest import all_permutations, enumerate_restricted_pairs, vhc_tallies_312
 
 
 @contextmanager
@@ -125,8 +124,6 @@ def test_criterion_04_phi_bijection(walk_table):
     """phi and its inverse are mutually inverse on every instance up to
     length 7, and the interval and pair counts match the walk transform."""
     with criterion(4, budget_seconds=120):
-        from hookcomb.walks import enumerate_restricted_pairs
-
         for n in range(8):
             interval_count = 0
             for interval in enumerate_intervals("C", n):

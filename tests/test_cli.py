@@ -184,6 +184,18 @@ class TestSequencesAndChecks:
         proc = run("triangle", "--kmax", "1", "--output", "csv")
         assert proc.stdout == "k,i,n,value\n1,1,3,1\n"
 
+    def test_triangle_over_cap_fails_fast(self):
+        proc = run("triangle", "--kmax", "21", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "k <= 20" in proc.stderr
+
+    def test_intervals_over_cap_fails_fast(self):
+        proc = run(
+            "intervals", "--order", "S", "--n", "12", "--count-only", check=False
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "M(12) = 15511" in proc.stderr and "n > 11" in proc.stderr
+
     def test_check_eq2_exits_zero(self):
         proc = run("check", "--suite", "eq2", "--nmax", "5", "--kmax", "2")
         rows = [json.loads(line) for line in proc.stdout.splitlines()]

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hookcomb.experiments import (
+    _TRIANGLE_LIMIT,
     AsymptoticFit,
     asymptotic_fit,
     catalan,
@@ -14,8 +15,15 @@ from hookcomb.experiments import (
     reduced_count,
     triangle,
     vhc_count_exhaustive,
-    vhc_tallies_312,
 )
+
+from .conftest import vhc_tallies_312
+
+
+def three_dimensional_catalan(k: int) -> int:
+    return 2 * math.factorial(3 * k) // (
+        math.factorial(k) * math.factorial(k + 1) * math.factorial(k + 2)
+    )
 
 
 class TestTriangle:
@@ -24,23 +32,47 @@ class TestTriangle:
         assert [row.entries for row in rows] == [(1,), (3, 5), (14, 51, 42)]
 
     def test_first_column_formula(self):
-        for row in triangle(3):
+        for row in triangle(_TRIANGLE_LIMIT):
             k = row.k
             assert row.entries[0] == catalan(k) * catalan(k + 2) - catalan(k + 1) ** 2
 
     def test_diagonal_is_three_dimensional_catalan(self):
-        for row in triangle(3):
+        for row in triangle(_TRIANGLE_LIMIT):
+            assert row.entries[-1] == three_dimensional_catalan(row.k)
+
+    def test_alternating_row_sum_is_catalan(self):
+        for row in triangle(_TRIANGLE_LIMIT):
             k = row.k
-            expected = (
-                2
-                * math.factorial(3 * k)
-                // (math.factorial(k) * math.factorial(k + 1) * math.factorial(k + 2))
+            alternating = sum(
+                (-1) ** (k - i) * e for i, e in enumerate(row.entries, start=1)
             )
-            assert row.entries[-1] == expected
+            assert alternating == catalan(k)
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
-            triangle(6)
+            triangle(_TRIANGLE_LIMIT + 1)
+
+    def test_hook_refined_identity_matches_sweep(self):
+        """reduced(n, h) = sum((-1)^i w(n-1-i, h)) for every n <= 12 and
+        every h, read off the hook-weighted walk DP, equals the exhaustive
+        histogram; the triangle rows are its band entries."""
+        from hookcomb.experiments import _alternating_sum
+        from hookcomb.walks import CountTable, _walk_counts
+
+        bits = (5**11).bit_length()
+        table = CountTable("w_hooks", _walk_counts(11, bits))
+        rows = {row.k: row.entries for row in triangle(5)}
+        for n in range(13):
+            packed = _alternating_sum(table, n)
+            derived = {
+                h: packed >> bits * h & (1 << bits) - 1 for h in range(n + 1)
+            }
+            assert packed >> bits * (n + 1) == 0
+            _, reduced = vhc_tallies_312(n)
+            assert {h: c for h, c in derived.items() if c} == reduced, n
+            for k, entries in rows.items():
+                if 2 * k + 1 <= n <= 3 * k:
+                    assert entries[n - 2 * k - 1] == derived[k]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_entries_zero_outside_band(self, n):
@@ -148,6 +180,31 @@ class TestTamariImage:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             check_tamari_image(n_max=9)
+
+    def test_enumerated_configurations_are_not_rechecked(self, monkeypatch):
+        """Every configuration is validated once (building its ``w_map``
+        image) and never pattern-guarded."""
+        import hookcomb.maps
+
+        guards, validations = [], []
+        real_validate = hookcomb.maps.validate
+
+        def counted_validate(pi, ne):
+            validations.append(pi)
+            return real_validate(pi, ne)
+
+        monkeypatch.setattr(
+            hookcomb.maps, "find_occurrence", lambda *args: guards.append(args)
+        )
+        monkeypatch.setattr(hookcomb.maps, "validate", counted_validate)
+        report = check_tamari_image(n_max=6)
+        assert all(entry["verdict"] == "holds" for entry in report)
+        configurations = sum(
+            int(e["rhs"]) for e in report if e["check"] == "tamari_injective"
+        )
+        assert configurations == 1 + 1 + 2 + 5 + 14 + 43
+        assert guards == []
+        assert len(validations) == configurations
 
 
 class TestFit:

@@ -31,6 +31,8 @@ from hookcomb.perm import (
 from hookcomb.vhc import enumerate_vhcs, validate
 from hookcomb.walks import ALLOWED_STEP_PAIRS
 
+from .conftest import enumerate_restricted_pairs
+
 
 def perm(text: str) -> Permutation:
     return Permutation.from_text(text)
@@ -360,7 +362,6 @@ class TestPhi:
     @pytest.mark.parametrize("n", range(8))
     def test_round_trips(self, n):
         from hookcomb.motzkin import enumerate_intervals
-        from hookcomb.walks import enumerate_restricted_pairs
 
         for interval in enumerate_intervals("C", n):
             x, y = phi(interval)

@@ -195,6 +195,32 @@ class TestEnumeration:
         expected = [Interval(p, q, order) for p in ps for q in ps if leq(order, p, q)]
         assert list(enumerate_intervals(order, n)) == expected
 
+    def test_enumerated_pairs_are_compared_once(self, monkeypatch):
+        import hookcomb.motzkin
+
+        calls = []
+        real = hookcomb.motzkin.leq
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hookcomb.motzkin, "leq", counted)
+        assert len(list(enumerate_intervals("S", 6))) > 0
+        assert calls == []
+        Interval(MotzkinPath("UD"), MotzkinPath("UD"), "S")
+        assert len(calls) == 1  # the public constructor still checks
+
+    def test_long_paths_refused_before_any_work(self, monkeypatch):
+        import hookcomb.motzkin
+
+        def no_paths(n):
+            raise AssertionError("enumerated paths past the cap")
+
+        monkeypatch.setattr(hookcomb.motzkin, "enumerate_paths", no_paths)
+        with pytest.raises(ValueError, match=r"M\(12\) = 15511.*n > 11"):
+            next(enumerate_intervals("S", 12))
+
     def test_intervals_c3(self):
         assert sum(1 for _ in enumerate_intervals("C", 3)) == 5
 

@@ -15,7 +15,7 @@ from hookcomb.vhc import (
     validate_bruteforce,
 )
 
-from .conftest import all_permutations
+from .conftest import all_permutations, vhc_tallies_312
 
 
 def perm(text: str) -> Permutation:
@@ -238,7 +238,7 @@ class TestReduction:
         the surviving index set."""
         from math import comb
 
-        from hookcomb.experiments import reduced_count, vhc_tallies_312
+        from hookcomb.experiments import reduced_count
 
         total = sum(vhc_tallies_312(n)[0].values())
         assert total == sum(

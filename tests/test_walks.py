@@ -6,15 +6,19 @@ from hookcomb.walks import (
     ALLOWED_STEP_PAIRS,
     STEPS,
     _KMAX_LIMIT,
+    _walk_counts,
     count_pairs,
     count_walks,
-    enumerate_restricted_pairs,
-    enumerate_walks,
     vhc312_count,
     vhc312_series,
 )
 
-from .conftest import binomial_sum, dict_walk_counts
+from .conftest import (
+    binomial_sum,
+    dict_walk_counts,
+    enumerate_restricted_pairs,
+    enumerate_walks,
+)
 
 
 def walks_by_product(k: int) -> int:
@@ -77,6 +81,24 @@ class TestWalkCounts:
         message = str(info.value)
         assert f"length {_KMAX_LIMIT + 2}" in message
         assert f"cap of {_KMAX_LIMIT + 1}" in message
+
+
+class TestHookWeightedWalks:
+    def test_slices_match_enumerated_walks_to_10(self):
+        """Slot ``h`` of entry ``k`` counts the closed walks of length
+        ``k`` with ``h`` steps (-1,1) or (0,1)."""
+        bits = (5**10).bit_length()
+        values = _walk_counts(10, bits)
+        for k in range(11):
+            histogram: dict[int, int] = {}
+            for walk in enumerate_walks(k):
+                h = sum(1 for _, dy in walk if dy == 1)
+                histogram[h] = histogram.get(h, 0) + 1
+            sliced = {
+                h: values[k] >> bits * h & (1 << bits) - 1 for h in range(k + 1)
+            }
+            assert {h: c for h, c in sliced.items() if c} == histogram, k
+            assert values[k] >> bits * (k + 1) == 0
 
 
 class TestEnumerate:
