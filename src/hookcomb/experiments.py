@@ -31,7 +31,7 @@ from .perm import (
     bruhat_leq,
 )
 from .vhc import enumerate_vhcs, is_reduced
-from .walks import CountTable, _walk_counts, count_walks, vhc312_series
+from .walks import CountTable, _hook_slot, _walk_counts, count_walks, vhc312_series
 
 _TRIANGLE_LIMIT = 20
 _EQ2_LIMIT = 9
@@ -111,12 +111,11 @@ def triangle(k_max: int) -> list[TriangleRow]:
             f"real-rootedness check took about 2 s over rows 1..20 and 90 s "
             f"over rows 1..30 on a 2-core Xeon"
         )
-    bits = (5 ** (3 * k_max - 1)).bit_length()
-    table = CountTable("w_hooks", _walk_counts(3 * k_max - 1, bits))
-    mask = (1 << bits) - 1
+    length = 3 * k_max - 1
+    table = CountTable("w_hooks", _walk_counts(length, by_hooks=True))
     return [
         TriangleRow(k, tuple(
-            _alternating_sum(table, 2 * k + i) >> bits * k & mask
+            _hook_slot(_alternating_sum(table, 2 * k + i), k, length)
             for i in range(1, k + 1)
         ))
         for k in range(1, k_max + 1)

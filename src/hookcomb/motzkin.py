@@ -31,9 +31,11 @@ from typing import Iterator
 
 ORDERS = ("S", "C", "T")
 
-#: longest paths ``enumerate_intervals`` pairs: S took 1.7 s at n = 9 on a
-#: 2-core Xeon with Python 3.11, and about 4 times more per extra step
-_INTERVAL_LIMIT = 11
+#: longest paths ``enumerate_intervals`` pairs, by order.  Counting every
+#: interval at the cap took 50 s for S at n = 11 (7 times more per step:
+#: it compares all pairs), 15 s for C and 12 s for T at n = 13 (4 to 5
+#: times more per step) on a 2-core Xeon with Python 3.11
+_INTERVAL_LIMIT = {"S": 11, "C": 13, "T": 13}
 
 _DISPLACEMENT = {"U": 1, "E": 0, "D": -1}
 
@@ -249,14 +251,17 @@ def enumerate_intervals(order: str, n: int) -> Iterator[Interval]:
     """All order-related pairs of length-``n`` paths, lower path major,
     both components in the U < D < E lexicographic order.  A lower path
     meets only the paths of its own class (S has one class).  Lengths past
-    ``_INTERVAL_LIMIT`` raise at the first item, before any work."""
-    if n > _INTERVAL_LIMIT:
-        m = motzkin_number(n)
-        raise ValueError(
-            f"intervals of length {n} compare pairs of M({n}) = {m} Motzkin "
-            f"paths, up to {m * m} comparisons; refusing n > {_INTERVAL_LIMIT}"
-        )
+    ``_INTERVAL_LIMIT[order]`` raise at the call, before any work."""
     class_of, statistic = _comparison(order)
+    if n > _INTERVAL_LIMIT[order]:
+        raise ValueError(
+            f"{order}-intervals of length {n} pair the M({n}) = "
+            f"{motzkin_number(n)} Motzkin paths; refusing n > {_INTERVAL_LIMIT[order]}"
+        )
+    return _intervals(order, n, class_of, statistic)
+
+
+def _intervals(order, n, class_of, statistic) -> Iterator[Interval]:
     keyed = [(class_of(p), statistic(p), p) for p in enumerate_paths(n)]
     by_class: dict[str, list[tuple[tuple[int, ...], MotzkinPath]]] = {}
     for cls, stat, p in keyed:

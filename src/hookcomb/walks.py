@@ -112,15 +112,17 @@ def count_walks(k_max: int) -> CountTable:
             f"a walk table of length {k_max + 1} (k = 0..{k_max}) is over "
             f"the cap of {_KMAX_LIMIT + 1} (k <= {_KMAX_LIMIT})"
         )
-    return CountTable("w", _walk_counts(k_max, 0))
+    return CountTable("w", _walk_counts(k_max))
 
 
-def _walk_counts(k_max: int, hook_bits: int) -> tuple[int, ...]:
-    """The packed DP, each y-raising step weighted by ``Z = 2^hook_bits``
-    (weight 1 at ``hook_bits = 0``).  A state with ``x + y`` above the
-    steps left cannot return to the origin, so step ``t`` keeps the rows
-    ``u <= min(t, k_max - t)``; row 0 is the origin alone."""
-    width = hook_bits * (k_max + 1) or (5**k_max).bit_length()
+def _walk_counts(k_max: int, by_hooks: bool = False) -> tuple[int, ...]:
+    """The packed DP; with ``by_hooks`` each y-raising step is weighted by
+    ``Z = 2^b`` and ``_hook_slot`` reads ``w(k, h)`` off entry ``k``.  A
+    state with ``x + y`` above the steps left cannot return to the origin,
+    so step ``t`` keeps the rows ``u <= min(t, k_max - t)``; row 0 is the
+    origin alone."""
+    bits = (5**k_max).bit_length()
+    width = bits * (k_max + 1) if by_hooks else bits
     values = [0] * (k_max + 1)
     values[0] = 1
     rows = [1]
@@ -135,12 +137,23 @@ def _walk_counts(k_max: int, hook_bits: int) -> tuple[int, ...]:
             low = up + (cur << width)
             top = width * (u + 1)
             low -= low >> top << top
-            if hook_bits:  # old[u][x+1] and old[u-1][x] raise y
-                rows.append(low + (up >> width) + ((cur >> width) + down << hook_bits))
+            # The hook-weighted line with a shift of 0 gives the same counts
+            # but was slower in alternating runs: count_walks(400) 0.84 s
+            # against 0.60 s, count_walks(800) 10.6 s against 8.4 s.
+            if by_hooks:  # old[u][x+1] and old[u-1][x] raise y
+                rows.append(low + (up >> width) + ((cur >> width) + down << bits))
             else:  # old[u+1][x+1] + old[u][x+1] is one shift of the slotwise sum
                 rows.append(low + ((up + cur) >> width) + down)
         values[t] = rows[0]
     return tuple(values)
+
+
+def _hook_slot(value: int, h: int, k_max: int) -> int:
+    """The ``Z^h`` slot of ``value``, an entry of ``_walk_counts(k_max,
+    by_hooks=True)`` or a signed sum of entries whose every slot lies in
+    ``[0, Z)``; for entry ``k`` it is ``w(k, h)``."""
+    bits = (5**k_max).bit_length()
+    return value >> bits * h & (1 << bits) - 1
 
 
 def count_pairs(n: int, table: CountTable | None = None) -> int:

@@ -190,11 +190,10 @@ class TestSequencesAndChecks:
         assert "k <= 20" in proc.stderr
 
     def test_intervals_over_cap_fails_fast(self):
-        proc = run(
-            "intervals", "--order", "S", "--n", "12", "--count-only", check=False
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "M(12) = 15511" in proc.stderr and "n > 11" in proc.stderr
+        for output in (["--count-only"], ["--output", "csv"]):
+            proc = run("intervals", "--order", "S", "--n", "12", *output, check=False)
+            assert proc.returncode == 2 and proc.stdout == "", output
+            assert "M(12) = 15511" in proc.stderr and "n > 11" in proc.stderr
 
     def test_check_eq2_exits_zero(self):
         proc = run("check", "--suite", "eq2", "--nmax", "5", "--kmax", "2")

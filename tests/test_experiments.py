@@ -57,17 +57,15 @@ class TestTriangle:
         every h, read off the hook-weighted walk DP, equals the exhaustive
         histogram; the triangle rows are its band entries."""
         from hookcomb.experiments import _alternating_sum
-        from hookcomb.walks import CountTable, _walk_counts
+        from hookcomb.walks import CountTable, _hook_slot, _walk_counts, count_walks
 
-        bits = (5**11).bit_length()
-        table = CountTable("w_hooks", _walk_counts(11, bits))
+        table = CountTable("w_hooks", _walk_counts(11, by_hooks=True))
+        plain = count_walks(11)
         rows = {row.k: row.entries for row in triangle(5)}
         for n in range(13):
             packed = _alternating_sum(table, n)
-            derived = {
-                h: packed >> bits * h & (1 << bits) - 1 for h in range(n + 1)
-            }
-            assert packed >> bits * (n + 1) == 0
+            derived = {h: _hook_slot(packed, h, 11) for h in range(n + 1)}
+            assert sum(derived.values()) == _alternating_sum(plain, n)
             _, reduced = vhc_tallies_312(n)
             assert {h: c for h, c in derived.items() if c} == reduced, n
             for k, entries in rows.items():

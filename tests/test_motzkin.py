@@ -219,7 +219,9 @@ class TestEnumeration:
 
         monkeypatch.setattr(hookcomb.motzkin, "enumerate_paths", no_paths)
         with pytest.raises(ValueError, match=r"M\(12\) = 15511.*n > 11"):
-            next(enumerate_intervals("S", 12))
+            enumerate_intervals("S", 12)  # the call raises, not the first item
+        with pytest.raises(ValueError, match=r"M\(14\) = 113634.*n > 13"):
+            enumerate_intervals("C", 14)
 
     def test_intervals_c3(self):
         assert sum(1 for _ in enumerate_intervals("C", 3)) == 5

@@ -6,6 +6,7 @@ from hookcomb.walks import (
     ALLOWED_STEP_PAIRS,
     STEPS,
     _KMAX_LIMIT,
+    _hook_slot,
     _walk_counts,
     count_pairs,
     count_walks,
@@ -87,18 +88,15 @@ class TestHookWeightedWalks:
     def test_slices_match_enumerated_walks_to_10(self):
         """Slot ``h`` of entry ``k`` counts the closed walks of length
         ``k`` with ``h`` steps (-1,1) or (0,1)."""
-        bits = (5**10).bit_length()
-        values = _walk_counts(10, bits)
+        values = _walk_counts(10, by_hooks=True)
         for k in range(11):
             histogram: dict[int, int] = {}
             for walk in enumerate_walks(k):
                 h = sum(1 for _, dy in walk if dy == 1)
                 histogram[h] = histogram.get(h, 0) + 1
-            sliced = {
-                h: values[k] >> bits * h & (1 << bits) - 1 for h in range(k + 1)
-            }
+            sliced = {h: _hook_slot(values[k], h, 10) for h in range(k + 1)}
             assert {h: c for h, c in sliced.items() if c} == histogram, k
-            assert values[k] >> bits * (k + 1) == 0
+            assert values[k] >> (5**10).bit_length() * (k + 1) == 0  # no slot past k
 
 
 class TestEnumerate:
