@@ -249,13 +249,17 @@ def check_conjectures(
                 "verdict": "holds" if rooted else "fails",
             }
         )
+    # the 312 column is the walk series, which criterion 03 checks against
+    # the exhaustive count; the other five classes are swept
     counts = {
         sigma.entries: [
             vhc_count_exhaustive(n, sigma.entries)
             for n in range(1, bruhat_n_max + 1)
         ]
         for sigma in _S3
+        if sigma != PATTERN_312
     }
+    counts[PATTERN_312.entries] = list(vhc312_series(max(bruhat_n_max, 0)).values[1:])
     for sigma in _S3:
         for tau in _S3:
             if sigma == tau or not bruhat_leq(sigma, tau):

@@ -302,11 +302,15 @@ def ll_map(v: Vhc) -> Interval:
 
 
 def _ll_map(frame: LLFrame) -> Interval:
+    """Built without the ``leq`` check of ``Interval(...)``: both paths
+    carry the frame's letters, so they share a class, and the lower one's
+    heights are nowhere above the upper one's (the tests check the public
+    constructor on every image for n <= 8)."""
     lower, upper = (
         "".join(x + "D" * g for x, g in zip(frame.letters, gaps))
         for gaps in (frame.gammas, frame.gamma_primes)
     )
-    return Interval(MotzkinPath(lower), MotzkinPath(upper), "C")
+    return Interval._trusted(MotzkinPath(lower), MotzkinPath(upper), "C")
 
 
 def ll_inverse(interval: Interval) -> Vhc | None:

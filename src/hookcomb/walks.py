@@ -19,21 +19,36 @@ coordinates one step reads
 
 (the steps (0,-1), (-1,0), (-1,1), (1,-1) and (0,1), in that order).  Each
 row is packed into one Python integer, ``x`` in the slot of bits
-``[x*W, (x+1)*W)`` with ``W = (5**k_max).bit_length()``.  No count at step
-``t`` exceeds ``5^t <= 5^k_max < 2^W``, and neither does any partial sum
-of the five terms, so a slot never carries into the next one: a whole row
-updates with a few shifts, additions and one subtraction that clears the
-slot past its end, all in C.  (A stored mask per row was no faster and
-kept a third copy of the table alive: 55 MB against 36 MB at k = 800.)
+``[x*W, (x+1)*W)``.  No count at step ``t`` exceeds ``5^t``, and neither
+does any partial sum of the five terms, so while ``2^W > 5^t`` a slot
+never carries into the next one: a whole row updates with a few shifts,
+additions and one subtraction that clears the slot past its end, all in C.
+(A stored mask per row was no faster and kept a third copy of the table
+alive: 55 MB against 36 MB at k = 800.)
+
+The slot width grows with the step instead of being sized for ``5^k_max``
+from the start, since the counts of step ``t`` need only
+``(5**t).bit_length()`` bits.  When step ``t`` needs more bits than the
+rows have, every live row is repacked once, through bytes, into slots of
+whole bytes wide enough for step ``t + _HEADROOM`` (or ``k_max``).  That
+is 12 repacks at ``k = 400`` and skips about half of the zero bits the
+fixed width added and shifted.  On a 2-core Xeon with Python 3.11,
+``count_walks(400)`` took 0.52 s against 0.67 s at the fixed width, and
+``count_walks(1000)`` 14.6 s against 23.3 s, with peak RSS 57 MB against
+63 MB.  The tables equal the fixed-width DP's for every ``k_max <= 150``,
+at 400 and at 1000, and the hook-weighted ones for every ``k_max <= 80``;
+the tests keep the prefix check to 150, the hook-slot sums to 80 and a
+digest of the table at 400.
 
 The same loop splits the counts by the number ``h`` of y-raising steps,
 (-1,1) and (0,1), the terms ``old[u][x+1]`` and ``old[u-1][x]``, when it
 weights each such step by ``Z = 2^b`` with ``b = (5**k_max).bit_length()``.
-A slot then holds a polynomial ``sum(c_h * Z^h)`` with ``h <= k_max`` and
-every ``c_h <= 5^k_max < Z``, so slots of ``W = b * (k_max + 1)`` bits
-still never carry, and entry ``k`` is ``sum(w(k, h) * Z^h)``.  Under the
-bijections of ``maps`` the hooks of a configuration are the y-raising
-steps of its walk, which is how ``experiments.triangle`` reads it.
+A slot then holds a polynomial ``sum(c_h * Z^h)`` with ``h <= t`` at step
+``t`` and every ``c_h`` and partial sum ``<= 5^t < Z``, so the slot stays
+below ``Z^(t+1)`` and ``W >= b * (t + 1)`` bits never carry; entry ``k``
+is ``sum(w(k, h) * Z^h)``.  Under the bijections of ``maps`` the hooks of
+a configuration are the y-raising steps of its walk, which is how
+``experiments.triangle`` reads it.
 
 The plain table feeds one binomial transform, ``vhc312_series``, which
 yields every term from a single difference-table pass:
@@ -60,9 +75,13 @@ ALLOWED_STEP_PAIRS = frozenset(
     [("D", "E"), ("D", "U"), ("E", "D"), ("E", "E"), ("E", "U"), ("U", "D")]
 )
 
-#: largest ``k_max`` that ``count_walks`` builds: about 20 s and 60 MB peak
-#: at the cap on a 2-core Xeon with Python 3.11 (0.5 s at 400, 8 s at 800)
+#: largest ``k_max`` that ``count_walks`` builds: about 15 s and 57 MB peak
+#: at the cap on a 2-core Xeon with Python 3.11 (0.5 s at 400, 6 s at 800)
 _KMAX_LIMIT = 1000
+
+#: steps of growth a repack of the walk DP leaves room for; 16 to 64 timed
+#: alike at k = 300, 400 and 800, 8 and below repack too often
+_HEADROOM = 32
 
 
 @dataclass(frozen=True)
@@ -122,11 +141,19 @@ def _walk_counts(k_max: int, by_hooks: bool = False) -> tuple[int, ...]:
     so step ``t`` keeps the rows ``u <= min(t, k_max - t)``; row 0 is the
     origin alone."""
     bits = (5**k_max).bit_length()
-    width = bits * (k_max + 1) if by_hooks else bits
+
+    def need(t: int) -> int:  # slot bits that step t's counts need
+        return bits * (t + 1) if by_hooks else (5**t).bit_length()
+
+    width = 8  # bits per slot, always whole bytes; the origin fits
     values = [0] * (k_max + 1)
     values[0] = 1
     rows = [1]
     for t in range(1, k_max + 1):
+        if need(t) > width:
+            wider = -(-need(min(t + _HEADROOM, k_max)) // 8) * 8
+            rows = [_repack(row, u + 1, width, wider) for u, row in enumerate(rows)]
+            width = wider
         budget = min(t, k_max - t)
         padded = [0, *rows, 0, 0]  # padded[u + 1] is row u
         rows = []
@@ -138,14 +165,25 @@ def _walk_counts(k_max: int, by_hooks: bool = False) -> tuple[int, ...]:
             top = width * (u + 1)
             low -= low >> top << top
             # The hook-weighted line with a shift of 0 gives the same counts
-            # but was slower in alternating runs: count_walks(400) 0.84 s
-            # against 0.60 s, count_walks(800) 10.6 s against 8.4 s.
+            # but was slower in alternating runs: count_walks(400) 0.50 s
+            # against 0.42 s, count_walks(800) 7.2 s against 5.3 s.
             if by_hooks:  # old[u][x+1] and old[u-1][x] raise y
                 rows.append(low + (up >> width) + ((cur >> width) + down << bits))
             else:  # old[u+1][x+1] + old[u][x+1] is one shift of the slotwise sum
                 rows.append(low + ((up + cur) >> width) + down)
         values[t] = rows[0]
     return tuple(values)
+
+
+def _repack(row: int, slots: int, width: int, wider: int) -> int:
+    """``row``'s ``slots`` slots of ``width`` bits moved into slots of
+    ``wider`` bits; both widths are whole bytes."""
+    size = width // 8
+    data = row.to_bytes(slots * size, "little")
+    pad = bytes((wider - width) // 8)
+    return int.from_bytes(
+        pad.join(data[i : i + size] for i in range(0, len(data), size)), "little"
+    )
 
 
 def _hook_slot(value: int, h: int, k_max: int) -> int:

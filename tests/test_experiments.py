@@ -119,6 +119,25 @@ class TestConjectures:
             e["verdict"] == "holds" for entries in by_check.values() for e in entries
         )
 
+    def test_312_column_reads_the_series(self, monkeypatch):
+        import hookcomb.experiments
+
+        swept = []
+        real = hookcomb.experiments.vhc_count_exhaustive
+
+        def counted(n, entries):
+            swept.append(entries)
+            return real(n, entries)
+
+        monkeypatch.setattr(hookcomb.experiments, "vhc_count_exhaustive", counted)
+        report = check_conjectures(k_max=1, bruhat_n_max=7)
+        assert (3, 1, 2) not in swept
+        assert len(set(swept)) == 5  # the other classes stay exhaustive
+        column = {
+            e["tau"]: e["rhs"] for e in report if e["check"] == "conjecture4"
+        }["312"]
+        assert column == [str(real(n, (3, 1, 2))) for n in range(1, 8)]
+
     def test_alternating_sum_row3(self):
         rows = triangle(3)
         assert 14 - 51 + 42 == 5 == catalan(3)
@@ -203,6 +222,21 @@ class TestTamariImage:
         assert configurations == 1 + 1 + 2 + 5 + 14 + 43
         assert guards == []
         assert len(validations) == configurations
+
+    def test_encoded_intervals_are_not_compared_again(self, monkeypatch):
+        import hookcomb.motzkin
+
+        calls = []
+        real = hookcomb.motzkin.leq
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hookcomb.motzkin, "leq", counted)
+        report = check_tamari_image(n_max=8)
+        assert all(entry["verdict"] == "holds" for entry in report)
+        assert calls == []
 
 
 class TestFit:

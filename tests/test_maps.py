@@ -309,6 +309,13 @@ class TestIntervalCode:
         }
         assert set(image) == expected
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_images_pass_the_public_check(self, n):
+        # ll_map builds its interval unchecked; the public constructor agrees
+        for v in all_vhcs(n, PATTERN_312):
+            interval = ll_map(v)
+            assert Interval(interval.lower, interval.upper, "C") == interval
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_lookup_inverts(self, n):
         for v in all_vhcs(n, PATTERN_312):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -75,6 +76,19 @@ class TestWalkCounts:
     def test_packed_dp_matches_dict_dp_at_200(self):
         assert count_walks(200).values == dict_walk_counts(200)
 
+    def test_shorter_tables_are_prefixes_to_150(self):
+        # each k_max prunes and widens its slots on its own schedule
+        full = _walk_counts(150)
+        for k_max in range(151):
+            assert _walk_counts(k_max) == full[: k_max + 1], k_max
+
+    def test_frozen_digest_at_400(self):
+        # recorded from the fixed-width DP, whose slots were 929 bits throughout
+        digest = hashlib.sha256(count_walks(400).to_json().encode()).hexdigest()
+        assert digest == (
+            "22ad07eb1b02c9d0ec1d88fd4d4dcd47296fb5e79a427cc7446fa0655eca8e3e"
+        )
+
     def test_over_cap_refused(self):
         assert _KMAX_LIMIT > 400
         with pytest.raises(ValueError) as info:
@@ -97,6 +111,14 @@ class TestHookWeightedWalks:
             sliced = {h: _hook_slot(values[k], h, 10) for h in range(k + 1)}
             assert {h: c for h, c in sliced.items() if c} == histogram, k
             assert values[k] >> (5**10).bit_length() * (k + 1) == 0  # no slot past k
+
+    def test_slots_sum_to_plain_counts_to_80(self):
+        # the slot width grows by b = (5**80).bit_length() bits a step here
+        values = _walk_counts(80, by_hooks=True)
+        plain = _walk_counts(80)
+        for k in range(81):
+            assert sum(_hook_slot(values[k], h, 80) for h in range(k + 1)) == plain[k]
+            assert values[k] >> (5**80).bit_length() * (k + 1) == 0, k
 
 
 class TestEnumerate:
