@@ -1,32 +1,31 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating pairs, base commit against working tree.
 
-Usage: python3 scripts/bench_pair.py --base REF --out BENCH_name.json
-           [--workloads series,sweep,orders] [--pairs 10] [--first-seed 701]
-           [--seconds 35] [--trace]
+Usage: python3 scripts/bench_pair.py --base REF --out BENCH_name.json [--trace]
 
 Run it from the repository root.  The base side is the committed files of
 ``REF``, unpacked with ``git archive`` into a temporary directory (so no
 worktree is registered in the repository); the change side is the working
-tree.  Both sides run their own ``perfbench/run.py``, which must be
-byte-identical, with the same ``--seconds``.  Pair ``i`` of a workload uses
-seed ``first_seed + i`` on both sides, and the side that runs first
-alternates from pair to pair.  ``--trace`` adds one traced run per side and
-workload, for the per-layer metrics.
+tree.  Both sides run their own ``perfbench/run.py`` with BENCHMARK.json's
+``run_seconds``; every file under ``perfbench/`` and BENCHMARK.json itself
+must be byte-identical between the sides, since ``perfbench/reference.json``
+decides which outputs are correct.  Every workload in BENCHMARK.json gets
+10 pairs; pair ``i`` uses seed ``701 + i`` on both sides, and the side that
+runs first alternates from pair to pair.  ``--trace`` adds one traced run
+per side and workload, for the per-layer metrics.
 
 The JSON written to ``--out`` holds, per workload and end-to-end metric,
 each side's runs, median and quartiles, the ratio of medians (change over
 base), the pairs the change won (ties count for neither side), and whether
 the gain rule holds: at least nine tenths of the pairs won and the medians
 apart by more than the base's interquartile range.  It also records the
-host (nproc, CPU model, Python) and both commits.
+host (nproc, CPU model, Python, from ``run.py``'s run record) and both
+commits.
 """
 
 import argparse
 import io
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -35,6 +34,8 @@ import tempfile
 from pathlib import Path
 
 SPEC = json.loads(Path("BENCHMARK.json").read_text())
+PAIRS = 10
+FIRST_SEED = 701
 
 
 def git(*args: str) -> str:
@@ -51,21 +52,30 @@ def unpack(commit: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def same_benchmark(a: Path, b: Path) -> bool:
-    files = sorted(p.relative_to(a) for p in (a / "perfbench").rglob("*.py"))
-    files += [Path("BENCHMARK.json")]
-    return all((a / f).read_bytes() == (b / f).read_bytes() for f in files)
+def same_benchmark(base: Path) -> bool:
+    """Whether the files of perfbench/ and BENCHMARK.json in the unpacked
+    ``base`` match the working tree's (tracked or not, less ignored ones)."""
+    files = set(git("ls-files", "--cached", "--others", "--exclude-standard",
+                    "perfbench", "BENCHMARK.json").splitlines())
+    if files != {str(p.relative_to(base)) for p in base.glob("perfbench/**/*")
+                 if p.is_file()} | {"BENCHMARK.json"}:
+        return False
+    return all((base / f).read_bytes() == Path(f).read_bytes() for f in files)
 
 
-def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+def run(root: Path, workload: str, seed: int, trace: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+            str(seed), "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} in {root} exited {proc.returncode}:\n"
                          + proc.stderr)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    record = next(json.loads(line.removeprefix("run record: "))
+                  for line in lines if line.startswith("run record: "))
+    result = json.loads(lines[-1])
     return {
+        "host": {k: record[k] for k in ("nproc", "cpu_model", "python")},
         "correct": result["correct"],
         "failed": result["failed"],
         "attempted": result["attempted"],
@@ -95,60 +105,40 @@ def compare(base: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def host() -> dict:
-    cpu = "unknown"
-    cpuinfo = Path("/proc/cpuinfo")
-    if cpuinfo.exists():
-        for line in cpuinfo.read_text().splitlines():
-            if line.startswith("model name"):
-                cpu = line.partition(":")[2].strip()
-                break
-    return {"nproc": os.cpu_count(), "cpu_model": cpu,
-            "python": platform.python_version()}
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="commit to compare against")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workloads", default=",".join(
-        w["name"] for w in SPEC["workloads"]))
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=701)
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     parser.add_argument("--trace", action="store_true")
     args = parser.parse_args()
-    if args.pairs < 10:
-        parser.error("a claim needs at least 10 pairs")
 
-    change_root = Path.cwd()
     report = {
-        "host": host(),
+        "host": None,
         "base_commit": git("rev-parse", args.base),
         "change_commit": git("rev-parse", "HEAD"),
-        "change_has_uncommitted_edits": bool(git("status", "--porcelain", "src")),
-        "seconds": args.seconds,
+        "change_has_uncommitted_edits": bool(git("status", "--porcelain")),
+        "seconds": SPEC["run_seconds"],
         "workloads": {},
     }
     better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
         base_root = Path(tmp)
         unpack(report["base_commit"], base_root)
-        if not same_benchmark(base_root, change_root):
+        if not same_benchmark(base_root):
             raise SystemExit("perfbench/ or BENCHMARK.json differ between the sides")
-        sides = {"base": base_root, "change": change_root}
-        for workload in args.workloads.split(","):
+        sides = {"base": base_root, "change": Path.cwd()}
+        for workload in (w["name"] for w in SPEC["workloads"]):
             runs = {"base": [], "change": []}
-            for i in range(args.pairs):
-                seed = args.first_seed + i
+            for i in range(PAIRS):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    runs[side].append(run(sides[side], workload, seed, args.seconds, 0))
-                print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
+                    runs[side].append(run(sides[side], workload, FIRST_SEED + i, 0))
+                print(f"{workload} pair {i + 1}/{PAIRS}: " + ", ".join(
                     f"{s} wall_s {runs[s][-1]['metrics']['wall_s']:.3f}" for s in order),
                     file=sys.stderr)
+            report["host"] = runs["change"][0]["host"]
             entry = {
-                "seeds": [args.first_seed, args.first_seed + args.pairs - 1],
+                "seeds": [FIRST_SEED, FIRST_SEED + PAIRS - 1],
                 "all_correct": all(r["correct"] for s in runs for r in runs[s]),
                 "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
                 "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
@@ -161,7 +151,7 @@ def main() -> int:
             }
             if args.trace:
                 entry["traced"] = {
-                    side: run(sides[side], workload, args.first_seed, args.seconds, 1)
+                    side: run(sides[side], workload, FIRST_SEED, 1)
                     for side in ("base", "change")
                 }
             report["workloads"][workload] = entry
