@@ -3,8 +3,8 @@ orders, quarter-plane walk counts, and the bijections tying them together."""
 
 from .motzkin import Interval, MotzkinPath
 from .perm import Permutation, Point
-from .vhc import Hook, Vhc, enumerate_vhcs, validate, validate_bruteforce
-from .walks import CountTable, count_walks, vhc312_count
+from .vhc import Hook, Vhc, enumerate_vhcs, validate
+from .walks import CountTable, count_walks
 
 __version__ = "0.1.0"
 
@@ -19,7 +19,5 @@ __all__ = [
     "count_walks",
     "enumerate_vhcs",
     "validate",
-    "validate_bruteforce",
-    "vhc312_count",
     "__version__",
 ]

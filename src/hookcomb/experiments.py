@@ -112,7 +112,7 @@ def triangle(k_max: int) -> list[TriangleRow]:
             f"over rows 1..30 on a 2-core Xeon"
         )
     length = 3 * k_max - 1
-    table = CountTable("w_hooks", _walk_counts(length, by_hooks=True))
+    table = CountTable(_walk_counts(length, by_hooks=True))
     return [
         TriangleRow(k, tuple(
             _hook_slot(_alternating_sum(table, 2 * k + i), k, length)
@@ -132,8 +132,8 @@ def _entry(check: str, lhs, rhs, **extra) -> dict:
     return out
 
 
-def check_eq2(n_max: int = _EQ2_LIMIT, rows: list[TriangleRow] | None = None,
-              table: CountTable | None = None) -> list[dict]:
+def check_eq2(n_max: int = _EQ2_LIMIT,
+              rows: list[TriangleRow] | None = None) -> list[dict]:
     """Alternating-sum identity for reduced configuration counts.
 
     For each ``n <= n_max`` compares the exhaustive count of reduced
@@ -143,10 +143,11 @@ def check_eq2(n_max: int = _EQ2_LIMIT, rows: list[TriangleRow] | None = None,
     grouped by size (the triangle read along ``n = 2k + i``) sum to the
     same formula values.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if n_max > _EQ2_LIMIT:
         raise ValueError(f"exhaustive reduced counts capped at n <= {_EQ2_LIMIT}")
-    if table is None or len(table) < n_max:
-        table = count_walks(max(n_max - 1, 0))
+    table = count_walks(max(n_max - 1, 0))
     report = []
     formula = {}
     for n in range(n_max + 1):
@@ -171,6 +172,8 @@ def check_eq2(n_max: int = _EQ2_LIMIT, rows: list[TriangleRow] | None = None,
 def check_tamari_image(n_max: int = _TAMARI_LIMIT) -> list[dict]:
     """The transferred-then-encoded configurations on 132-avoiders hit
     exactly the lng-order intervals one size down, bijectively."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if n_max > _TAMARI_LIMIT:
         raise ValueError(f"exhaustive image sweep capped at n <= {_TAMARI_LIMIT}")
     report = []
@@ -221,6 +224,8 @@ def check_conjectures(
     """
     if k_max > _TRIANGLE_LIMIT:
         raise ValueError(f"triangle rows capped at k <= {_TRIANGLE_LIMIT}")
+    if bruhat_n_max < 1:
+        raise ValueError("bruhat_n_max must be >= 1")
     if rows is None:
         rows = triangle(k_max)
     report = []
@@ -259,7 +264,7 @@ def check_conjectures(
         for sigma in _S3
         if sigma != PATTERN_312
     }
-    counts[PATTERN_312.entries] = list(vhc312_series(max(bruhat_n_max, 0)).values[1:])
+    counts[PATTERN_312.entries] = list(vhc312_series(bruhat_n_max).values[1:])
     for sigma in _S3:
         for tau in _S3:
             if sigma == tau or not bruhat_leq(sigma, tau):

@@ -50,7 +50,7 @@ from .perm import (
     find_occurrence,
     ltr_extrema,
 )
-from .vhc import Hook, Vhc, validate
+from .vhc import Vhc, validate
 from .walks import ALLOWED_STEP_PAIRS
 
 
@@ -91,20 +91,8 @@ def _slide_all(pi: Permutation, below_first: bool) -> Permutation:
     return pi
 
 
-def swl_at(pi: Permutation, height: int) -> Permutation:
-    """Move the points southwest of the point at ``height`` left of the
-    points northwest of it; everything from that point on is unchanged."""
-    return _slide(pi, height, below_first=True)
-
-
-def swr_at(pi: Permutation, height: int) -> Permutation:
-    """Mirror of ``swl_at``: southwest block moves right of the northwest
-    block."""
-    return _slide(pi, height, below_first=False)
-
-
 def swl(tau: Permutation) -> Permutation:
-    """Compose ``swl_at`` over heights n, n-1, ..., 1 (height n first).
+    """Slide at every height n, n-1, ..., 1 (height n first).
 
     Defined on 132-avoiders only; maps onto the 312-avoiders.
     """
@@ -388,27 +376,3 @@ def phi_inverse(x: MotzkinPath, y: MotzkinPath) -> Interval:
     if upper is None:
         raise AssertionError(f"no path with class {path_class(y)} over {target}")
     return Interval(y, upper, "C")
-
-
-# --- pivot points ----------------------------------------------------------
-
-
-def pivot_points(v: Vhc, hook: Hook) -> tuple[Point, ...]:
-    """Points that would swap a hook's endpoints under the pullback.
-
-    A pivot of a hook with southwest endpoint A and northeast endpoint B is
-    a plot point that forms a 132 pattern with A and the rightmost stripe
-    point of B, in that index order.
-    """
-    _require_vhc(v)
-    if hook not in v.matching:
-        raise ValueError(f"{hook} is not a hook of {v.to_json()}")
-    a = hook.sw
-    anchor = nw_inv(v.pi, hook.ne)
-    if not a.index < anchor.index:
-        return ()
-    return tuple(
-        p
-        for p in v.pi.points()
-        if p.index > anchor.index and a.value < p.value < anchor.value
-    )

@@ -133,21 +133,6 @@ def is_dyck_prefix(word: str) -> bool:
     return True
 
 
-def dyck_prefix_leq(a: str, b: str) -> bool:
-    """Prefix-count order on equal-length Dyck prefixes: ``a <= b`` when
-    every prefix of ``b`` has at least as many u's as the same prefix of
-    ``a`` (``b`` lies weakly above ``a`` as a lattice path)."""
-    if len(a) != len(b):
-        raise ValueError("Dyck prefixes must have equal length")
-    ca = cb = 0
-    for x, y in zip(a, b):
-        ca += x == "u"
-        cb += y == "u"
-        if cb < ca:
-            return False
-    return True
-
-
 def reconstruct(cls_word: str, supp: str) -> MotzkinPath | None:
     """Rebuild the path with the given class and support, or ``None`` when
     the pair is inconsistent."""

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 
@@ -127,12 +126,8 @@ class Permutation:
         return "".join(str(v) for v in self.entries)
 
 
-PATTERN_123 = Permutation((1, 2, 3))
 PATTERN_132 = Permutation((1, 3, 2))
-PATTERN_213 = Permutation((2, 1, 3))
-PATTERN_231 = Permutation((2, 3, 1))
 PATTERN_312 = Permutation((3, 1, 2))
-PATTERN_321 = Permutation((3, 2, 1))
 
 
 def find_occurrence(pi: Permutation, sigma: Permutation) -> tuple[int, ...] | None:
@@ -162,11 +157,6 @@ def _order_isomorphic(word: tuple[int, ...], sig: tuple[int, ...]) -> bool:
         for a in range(k)
         for b in range(a + 1, k)
     )
-
-
-def contains_pattern(pi: Permutation, sigma: Permutation) -> bool:
-    """True when some subsequence of ``pi`` is order-isomorphic to ``sigma``."""
-    return find_occurrence(pi, sigma) is not None
 
 
 def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
@@ -314,36 +304,16 @@ def ltr_extrema(pi: Permutation, kind: str = "maxima") -> tuple[Point, ...]:
     return tuple(out)
 
 
-def bruhat_covers(pi: Permutation) -> tuple[Permutation, ...]:
-    """Permutations obtained by swapping one adjacent ascent of ``pi``."""
-    out = []
-    ent = list(pi.entries)
-    for i in range(pi.n - 1):
-        if ent[i] < ent[i + 1]:
-            ent[i], ent[i + 1] = ent[i + 1], ent[i]
-            out.append(Permutation(tuple(ent)))
-            ent[i], ent[i + 1] = ent[i + 1], ent[i]
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _weak_order_upset(entries: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    start = Permutation(entries)
-    seen = {entries}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pi in frontier:
-            for cover in bruhat_covers(pi):
-                if cover.entries not in seen:
-                    seen.add(cover.entries)
-                    nxt.append(cover)
-        frontier = nxt
-    return frozenset(seen)
+def _inversions(pi: Permutation) -> set[tuple[int, int]]:
+    """Value pairs ``(a, b)`` with ``a > b`` and ``a`` left of ``b``."""
+    ent = pi.entries
+    return {(a, b) for i, a in enumerate(ent) for b in ent[i + 1 :] if a > b}
 
 
 def bruhat_leq(sigma: Permutation, tau: Permutation) -> bool:
-    """Weak order: ``tau`` reachable from ``sigma`` by adjacent-ascent swaps."""
+    """Right weak order: ``tau`` is reachable from ``sigma`` by swapping
+    adjacent ascents, which holds iff every inversion of ``sigma``, taken
+    as a pair of values, is an inversion of ``tau``."""
     if sigma.n != tau.n:
         raise ValueError(f"size mismatch: {sigma.n} vs {tau.n}")
-    return tau.entries in _weak_order_upset(sigma.entries)
+    return _inversions(sigma) <= _inversions(tau)

@@ -57,10 +57,11 @@ yields every term from a single difference-table pass:
   312-avoiding permutations of size ``n``, which equals
   ``sum(C(n-1, k) * walk_count(k))`` for ``n >= 1``, and 1 at ``n = 0``
   (the empty configuration on the empty permutation).
-* ``count_pairs(n)``: pairs ``(X, Y)`` of length-``n`` Motzkin paths whose
-  coordinatewise steps avoid ``(D, D)``, ``(U, U)`` and ``(U, E)``.  Such a
-  pair flattens to a quadrant walk by dropping its ``(E, E)`` positions, so
-  it is the same sum one size up: ``vhc312_series(n + 1)[n + 1]``.
+* ``vhc312_series(n + 1)[n + 1]``: pairs ``(X, Y)`` of length-``n``
+  Motzkin paths whose coordinatewise steps avoid ``(D, D)``, ``(U, U)`` and
+  ``(U, E)``.  Such a pair flattens to a quadrant walk of length ``n`` minus
+  its ``(E, E)`` positions, which gives ``sum(C(n, k) * walk_count(k))``,
+  the same sum one size up.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ _HEADROOM = 32
 class CountTable:
     """An exact integer sequence indexed from 0."""
 
-    label: str
     values: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -131,7 +131,7 @@ def count_walks(k_max: int) -> CountTable:
             f"a walk table of length {k_max + 1} (k = 0..{k_max}) is over "
             f"the cap of {_KMAX_LIMIT + 1} (k <= {_KMAX_LIMIT})"
         )
-    return CountTable("w", _walk_counts(k_max))
+    return CountTable(_walk_counts(k_max))
 
 
 def _walk_counts(k_max: int, by_hooks: bool = False) -> tuple[int, ...]:
@@ -194,27 +194,6 @@ def _hook_slot(value: int, h: int, k_max: int) -> int:
     return value >> bits * h & (1 << bits) - 1
 
 
-def count_pairs(n: int, table: CountTable | None = None) -> int:
-    """Number of restricted path pairs: ``sum(C(n, k) * walk_count(k))``.
-
-    A pair flattens to a quadrant walk of length ``n - (number of (E, E)
-    positions)`` plus the choice of those positions, hence the binomial
-    transform, which is the 312 configuration count one size up.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return vhc312_series(n + 1, table)[n + 1]
-
-
-def vhc312_count(n: int, table: CountTable | None = None) -> int:
-    """Hook-configuration count over 312-avoiders of size ``n``, exactly
-    ``sum(C(n-1, k) * walk_count(k) for k in 0..n-1)``.  For many sizes,
-    read them off one ``vhc312_series``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return vhc312_series(n, table)[n]
-
-
 def vhc312_series(n_max: int, table: CountTable | None = None) -> CountTable:
     """Hook-configuration counts over 312-avoiders for every size
     ``0..n_max``: 1 at ``n = 0``, then ``sum(C(n-1, k) * walk_count(k))``.
@@ -235,4 +214,4 @@ def vhc312_series(n_max: int, table: CountTable | None = None) -> CountTable:
     while row:
         values.append(row[0])
         row = [a + b for a, b in zip(row, row[1:])]
-    return CountTable("vhc312", tuple(values))
+    return CountTable(tuple(values))

@@ -3,6 +3,9 @@
 The brute-force helpers here are deliberately dumb: they filter full
 symmetric groups or full step products so that the package's pruned
 generators and dynamic programs have something independent to agree with.
+The geometric validator, the pattern test, the single-height slides, the
+pivot points and the Dyck-prefix order are oracles only, so they live here
+rather than in the package.
 """
 
 from __future__ import annotations
@@ -10,11 +13,26 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 import pytest
 
-from hookcomb.perm import PATTERN_312, Permutation, avoiders, contains_pattern
-from hookcomb.vhc import enumerate_vhcs, is_reduced
+from hookcomb.maps import _require_vhc, _slide, nw_inv
+from hookcomb.motzkin import enumerate_paths
+from hookcomb.perm import (
+    PATTERN_312,
+    Permutation,
+    Point,
+    avoiders,
+    descent_tops,
+    find_occurrence,
+)
+from hookcomb.vhc import Hook, Vhc, _checked_ne, enumerate_vhcs, is_reduced
+from hookcomb.walks import ALLOWED_STEP_PAIRS, STEPS, count_walks
+
+
+def perm(text: str) -> Permutation:
+    return Permutation.from_text(text)
 
 
 def catalan(m: int) -> int:
@@ -26,6 +44,11 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
     return tuple(
         Permutation(word) for word in itertools.permutations(range(1, n + 1))
     )
+
+
+def contains_pattern(pi: Permutation, sigma: Permutation) -> bool:
+    """True when some subsequence of ``pi`` is order-isomorphic to ``sigma``."""
+    return find_occurrence(pi, sigma) is not None
 
 
 def brute_avoiders(n: int, sigma: Permutation) -> list[Permutation]:
@@ -43,7 +66,7 @@ def vhc_tallies_312(n: int) -> tuple[dict[int, int], dict[int, int]]:
     reduced: dict[int, int] = {}
     for pi in avoiders(n, PATTERN_312):
         for v in enumerate_vhcs(pi):
-            k = v.hook_count
+            k = len(v.matching)
             total[k] = total.get(k, 0) + 1
             if is_reduced(v):
                 reduced[k] = reduced.get(k, 0) + 1
@@ -54,8 +77,6 @@ def enumerate_walks(k: int):
     """Oracle for ``count_walks``: every closed quadrant walk of length
     ``k``, once each, in step-tuple lexicographic order.  Exponential;
     refuses ``k > 10``."""
-    from hookcomb.walks import STEPS
-
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > 10:
@@ -82,8 +103,6 @@ def enumerate_walks(k: int):
 def dict_walk_counts(k_max: int) -> tuple[int, ...]:
     """Oracle for ``count_walks``: the plain DP over a dict of ``(x, y)``
     states, pruning a state once ``x + y`` exceeds the steps left."""
-    from hookcomb.walks import STEPS
-
     values = [0] * (k_max + 1)
     values[0] = 1
     grid: dict[tuple[int, int], int] = {(0, 0): 1}
@@ -103,9 +122,6 @@ def dict_walk_counts(k_max: int) -> tuple[int, ...]:
 def enumerate_restricted_pairs(n: int):
     """Oracle for ``count_pairs``: all pairs of length-``n`` Motzkin paths
     with allowed coordinatewise steps, by filtering the full product."""
-    from hookcomb.motzkin import enumerate_paths
-    from hookcomb.walks import ALLOWED_STEP_PAIRS
-
     paths = list(enumerate_paths(n))
     for x in paths:
         for y in paths:
@@ -118,8 +134,170 @@ def binomial_sum(walks, m: int) -> int:
     return sum(math.comb(m, k) * walks[k] for k in range(m + 1))
 
 
+# --- geometric oracle for vhc.validate -----------------------------------
+
+
+def _hook_segments(hook: Hook):
+    """The vertical and horizontal legs as coordinate-sorted segments."""
+    (i, a), (j, b) = hook
+    return ((i, a, i, b), (i, b, j, b))
+
+
+def _segment_meet(s1, s2):
+    """Intersection of two axis-aligned segments.
+
+    Returns ``None``, ``("point", (x, y))`` or ``("overlap",)``.
+    """
+    x1, y1, x2, y2 = s1
+    u1, v1, u2, v2 = s2
+    vert1, vert2 = x1 == x2, u1 == u2
+    if vert1 and vert2:
+        if x1 != u1:
+            return None
+        lo, hi = max(y1, v1), min(y2, v2)
+        if lo > hi:
+            return None
+        return ("point", (x1, lo)) if lo == hi else ("overlap",)
+    if not vert1 and not vert2:
+        if y1 != v1:
+            return None
+        lo, hi = max(x1, u1), min(x2, u2)
+        if lo > hi:
+            return None
+        return ("point", (lo, y1)) if lo == hi else ("overlap",)
+    if vert2:
+        s1, s2 = s2, s1
+        x1, y1, x2, y2 = s1
+        u1, v1, u2, v2 = s2
+    # s1 vertical, s2 horizontal
+    if u1 <= x1 <= u2 and y1 <= v1 <= y2:
+        return ("point", (x1, v1))
+    return None
+
+
+def _point_above_hook(p: Point, hook: Hook) -> bool:
+    """Strictly inside the open region above either leg of the L."""
+    sw, ne = hook
+    if p == sw or p == ne:
+        return False
+    above_vertical = p.index == sw.index and p.value > ne.value
+    above_horizontal = sw.index <= p.index <= ne.index and p.value > ne.value
+    return above_vertical or above_horizontal
+
+
+def _hooks_clash(h1: Hook, h2: Hook) -> bool:
+    """True when two hooks intersect anywhere except a shared endpoint."""
+    ends1 = {tuple(h1.sw), tuple(h1.ne)}
+    ends2 = {tuple(h2.sw), tuple(h2.ne)}
+    for s1 in _hook_segments(h1):
+        for s2 in _hook_segments(h2):
+            meet = _segment_meet(s1, s2)
+            if meet is None:
+                continue
+            if meet[0] == "overlap":
+                return True
+            pt = meet[1]
+            if pt not in ends1 or pt not in ends2:
+                return True
+    return False
+
+
+def _assignment_is_valid(pi: Permutation, hooks: list[Hook]) -> bool:
+    plot = pi.points()
+    for hook in hooks:
+        for p in plot:
+            if _point_above_hook(p, hook):
+                return False
+    for h1, h2 in itertools.combinations(hooks, 2):
+        if _hooks_clash(h1, h2):
+            return False
+    return True
+
+
+def _bruteforce_assignments(
+    pi: Permutation, ne_indices: Iterable[int]
+) -> Iterator[tuple[Hook, ...]]:
+    """Every assignment of descent tops to NE points that draws a valid
+    configuration.  At most one should ever be produced."""
+    ne = _checked_ne(pi, ne_indices)
+    tops = descent_tops(pi)
+    ne_points = tuple(pi.point(i) for i in sorted(ne))
+    if len(tops) != len(ne_points):
+        return
+    for assigned in itertools.permutations(ne_points):
+        hooks = []
+        for sw, ne_p in zip(tops, assigned):
+            if ne_p.index > sw.index and ne_p.value > sw.value:
+                hooks.append(Hook(sw, ne_p))
+            else:
+                break
+        if len(hooks) < len(tops):
+            continue
+        if _assignment_is_valid(pi, hooks):
+            yield tuple(sorted(hooks))
+
+
+def validate_bruteforce(pi: Permutation, ne_indices: Iterable[int]) -> Vhc | None:
+    """Oracle for ``validate``: try every descent-top assignment and test
+    the hooks geometrically.  Intended for desk-scale inputs."""
+    ne = _checked_ne(pi, ne_indices)
+    for hooks in _bruteforce_assignments(pi, ne):
+        return Vhc(pi, ne, hooks)
+    return None
+
+
+# --- map and order oracles ------------------------------------------------
+
+
+def swl_at(pi: Permutation, height: int) -> Permutation:
+    """Move the points southwest of the point at ``height`` left of the
+    points northwest of it; everything from that point on is unchanged."""
+    return _slide(pi, height, below_first=True)
+
+
+def swr_at(pi: Permutation, height: int) -> Permutation:
+    """Mirror of ``swl_at``: southwest block moves right of the northwest
+    block."""
+    return _slide(pi, height, below_first=False)
+
+
+def pivot_points(v: Vhc, hook: Hook) -> tuple[Point, ...]:
+    """Points that would swap a hook's endpoints under the pullback.
+
+    A pivot of a hook with southwest endpoint A and northeast endpoint B is
+    a plot point that forms a 132 pattern with A and the rightmost stripe
+    point of B, in that index order.
+    """
+    _require_vhc(v)
+    if hook not in v.matching:
+        raise ValueError(f"{hook} is not a hook of {v.to_json()}")
+    a = hook.sw
+    anchor = nw_inv(v.pi, hook.ne)
+    if not a.index < anchor.index:
+        return ()
+    return tuple(
+        p
+        for p in v.pi.points()
+        if p.index > anchor.index and a.value < p.value < anchor.value
+    )
+
+
+def dyck_prefix_leq(a: str, b: str) -> bool:
+    """Prefix-count order on equal-length Dyck prefixes: ``a <= b`` when
+    every prefix of ``b`` has at least as many u's as the same prefix of
+    ``a`` (``b`` lies weakly above ``a`` as a lattice path)."""
+    if len(a) != len(b):
+        raise ValueError("Dyck prefixes must have equal length")
+    ca = cb = 0
+    for x, y in zip(a, b):
+        ca += x == "u"
+        cb += y == "u"
+        if cb < ca:
+            return False
+    return True
+
+
+
 @pytest.fixture(scope="session")
 def walk_table_small():
-    from hookcomb.walks import count_walks
-
     return count_walks(16)

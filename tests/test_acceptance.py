@@ -29,12 +29,17 @@ from hookcomb.perm import (
     PATTERN_312,
     Permutation,
     avoiders,
-    contains_pattern,
 )
-from hookcomb.vhc import enumerate_vhcs, validate, validate_bruteforce
-from hookcomb.walks import count_pairs, count_walks, vhc312_count, vhc312_series
+from hookcomb.vhc import enumerate_vhcs, validate
+from hookcomb.walks import count_walks, vhc312_series
 
-from .conftest import all_permutations, enumerate_restricted_pairs, vhc_tallies_312
+from .conftest import (
+    all_permutations,
+    contains_pattern,
+    enumerate_restricted_pairs,
+    validate_bruteforce,
+    vhc_tallies_312,
+)
 
 
 @contextmanager
@@ -114,10 +119,10 @@ def test_criterion_03_count_composition(walk_table):
     with criterion(3, budget_seconds=300):
         for n in range(1, 10):
             exhaustive = sum(vhc_tallies_312(n)[0].values())
-            assert vhc312_count(n, walk_table) == exhaustive, f"n={n}"
+            assert vhc312_series(n, walk_table)[n] == exhaustive, f"n={n}"
         for n in range(1, 9):
             intervals = sum(1 for _ in enumerate_intervals("C", n - 1))
-            assert vhc312_count(n, walk_table) == intervals, f"n={n}"
+            assert vhc312_series(n, walk_table)[n] == intervals, f"n={n}"
 
 
 def test_criterion_04_phi_bijection(walk_table):
@@ -136,7 +141,8 @@ def test_criterion_04_phi_bijection(walk_table):
                 pair_count += 1
                 assert phi(phi_inverse(x, y)) == (x, y)
             transform = sum(comb(n, k) * walk_table[k] for k in range(n + 1))
-            assert interval_count == pair_count == transform == count_pairs(n)
+            pairs_by_series = vhc312_series(n + 1)[n + 1]
+            assert interval_count == pair_count == transform == pairs_by_series
 
 
 def test_criterion_05_tamari_image():
@@ -209,7 +215,7 @@ def test_criterion_07_triangle_rows():
         ]
         for n in (10, 11, 12):  # tallies are in hand: cross-check the formula
             exhaustive = sum(vhc_tallies_312(n)[0].values())
-            assert exhaustive == vhc312_count(n)
+            assert exhaustive == vhc312_series(n)[n]
             for k, count in vhc_tallies_312(n)[1].items():
                 if count:  # reduced counts stay inside the 2k+1..3k band
                     assert 2 * k + 1 <= n <= 3 * k

@@ -212,6 +212,16 @@ class TestSequencesAndChecks:
             "conjecture1", "conjecture2", "conjecture3", "conjecture4",
         }
 
+    @pytest.mark.parametrize(
+        "suite,nmax",
+        [("conjectures", "0"), ("conjectures", "-1"), ("tamari", "0"),
+         ("tamari", "-1"), ("eq2", "-1")],
+    )
+    def test_check_vacuous_nmax_fails(self, suite, nmax):
+        proc = run("check", "--suite", suite, "--nmax", nmax, check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "must be >=" in proc.stderr
+
 
 class TestRender:
     def test_render_vhc(self, tmp_path):

@@ -59,7 +59,7 @@ class TestTriangle:
         from hookcomb.experiments import _alternating_sum
         from hookcomb.walks import CountTable, _hook_slot, _walk_counts, count_walks
 
-        table = CountTable("w_hooks", _walk_counts(11, by_hooks=True))
+        table = CountTable(_walk_counts(11, by_hooks=True))
         plain = count_walks(11)
         rows = {row.k: row.entries for row in triangle(5)}
         for n in range(13):

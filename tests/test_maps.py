@@ -8,17 +8,14 @@ from hookcomb.maps import (
     nw_inv,
     phi,
     phi_inverse,
-    pivot_points,
     point_image,
     stripes,
     swl,
-    swl_at,
     swr,
-    swr_at,
     w_map,
     w_map_left_inverse,
 )
-from hookcomb.motzkin import Interval, MotzkinPath, leq, lng_all
+from hookcomb.motzkin import Interval, MotzkinPath, enumerate_intervals, leq, lng_all
 from hookcomb.perm import (
     PATTERN_132,
     PATTERN_312,
@@ -28,14 +25,17 @@ from hookcomb.perm import (
     descent_tops,
     ltr_extrema,
 )
-from hookcomb.vhc import enumerate_vhcs, validate
+from hookcomb.vhc import Hook, enumerate_vhcs, validate
 from hookcomb.walks import ALLOWED_STEP_PAIRS
 
-from .conftest import enumerate_restricted_pairs
-
-
-def perm(text: str) -> Permutation:
-    return Permutation.from_text(text)
+from .conftest import (
+    contains_pattern,
+    enumerate_restricted_pairs,
+    perm,
+    pivot_points,
+    swl_at,
+    swr_at,
+)
 
 
 def all_vhcs(n: int, pattern: Permutation):
@@ -81,7 +81,7 @@ class TestSlide:
     def test_round_trips(self, n):
         for tau in avoiders(n, PATTERN_132):
             image = swl(tau)
-            assert not _contains(image, PATTERN_312)
+            assert not contains_pattern(image, PATTERN_312)
             assert swr(image) == tau
         for pi in avoiders(n, PATTERN_312):
             assert swl(swr(pi)) == pi
@@ -151,12 +151,6 @@ class TestSlide:
                 + (last,)
             )
             assert swl(tau).entries == expected
-
-
-def _contains(pi: Permutation, sigma: Permutation) -> bool:
-    from hookcomb.perm import contains_pattern
-
-    return contains_pattern(pi, sigma)
 
 
 def _apply_normalized(func, values: tuple[int, ...]) -> tuple[int, ...]:
@@ -295,8 +289,6 @@ class TestIntervalCode:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bijection_onto_class_intervals(self, n):
-        from hookcomb.motzkin import enumerate_intervals
-
         image = {}
         for v in all_vhcs(n, PATTERN_312):
             interval = ll_map(v)
@@ -323,8 +315,6 @@ class TestIntervalCode:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_inverse_of_every_class_interval(self, n):
-        from hookcomb.motzkin import enumerate_intervals
-
         for interval in enumerate_intervals("C", n - 1):
             assert ll_map(ll_inverse(interval)) == interval
 
@@ -358,8 +348,6 @@ class TestPhi:
 
     def test_output_respects_step_restriction(self):
         for n in range(7):
-            from hookcomb.motzkin import enumerate_intervals
-
             for interval in enumerate_intervals("C", n):
                 x, y = phi(interval)
                 assert all(
@@ -368,8 +356,6 @@ class TestPhi:
 
     @pytest.mark.parametrize("n", range(8))
     def test_round_trips(self, n):
-        from hookcomb.motzkin import enumerate_intervals
-
         for interval in enumerate_intervals("C", n):
             x, y = phi(interval)
             back = phi_inverse(x, y)
@@ -397,8 +383,6 @@ class TestPivotsAndTamari:
 
     def test_foreign_hook_rejected(self):
         v = validate(perm("213"), {3})
-        from hookcomb.vhc import Hook
-
         with pytest.raises(ValueError):
             pivot_points(v, Hook(Point(1, 1), Point(2, 2)))
 
@@ -496,8 +480,6 @@ class TestGuards:
             assert guard_calls == [PATTERN_312]
 
     def test_no_guard_in_inverse_code(self, guard_calls):
-        from hookcomb.motzkin import enumerate_intervals
-
         for interval in enumerate_intervals("C", 6):
             ll_inverse(interval)
         assert guard_calls == []

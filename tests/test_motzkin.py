@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hookcomb.motzkin import (
     Interval,
     MotzkinPath,
-    dyck_prefix_leq,
     enumerate_intervals,
     enumerate_paths,
     is_dyck_prefix,
@@ -20,6 +19,8 @@ from hookcomb.motzkin import (
     step_displacement,
     support,
 )
+
+from .conftest import dyck_prefix_leq
 
 
 @lru_cache(maxsize=None)

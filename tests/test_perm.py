@@ -9,9 +9,7 @@ from hookcomb.perm import (
     PATTERN_312,
     Permutation,
     avoiders,
-    bruhat_covers,
     bruhat_leq,
-    contains_pattern,
     descent_bottoms,
     descent_tops,
     find_occurrence,
@@ -19,13 +17,9 @@ from hookcomb.perm import (
     ltr_extrema,
 )
 
-from .conftest import all_permutations, brute_avoiders, catalan
+from .conftest import all_permutations, brute_avoiders, catalan, contains_pattern, perm
 
 ALL_S3 = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
-
-
-def perm(text: str) -> Permutation:
-    return Permutation.from_text(text)
 
 
 class TestConstruction:
@@ -209,11 +203,25 @@ class TestWeakOrder:
         with pytest.raises(ValueError):
             bruhat_leq(perm("12"), perm("123"))
 
-    def test_covers_increase_inversions(self):
-        for pi in all_permutations(4):
-            inv = _inversions(pi)
-            for cover in bruhat_covers(pi):
-                assert _inversions(cover) == inv + 1
+    @pytest.mark.parametrize("n", range(6))
+    def test_equals_reachability_by_ascent_swaps(self, n):
+        """The inversion-set test against a breadth-first search over
+        adjacent-ascent swaps, for every pair of size ``n``."""
+        for sigma in all_permutations(n):
+            reached = {sigma.entries}
+            frontier = [sigma.entries]
+            while frontier:
+                nxt = []
+                for ent in frontier:
+                    for i in range(n - 1):
+                        if ent[i] < ent[i + 1]:
+                            up = ent[:i] + (ent[i + 1], ent[i]) + ent[i + 2 :]
+                            if up not in reached:
+                                reached.add(up)
+                                nxt.append(up)
+                frontier = nxt
+            for tau in all_permutations(n):
+                assert bruhat_leq(sigma, tau) == (tau.entries in reached), (sigma, tau)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_partial_order_axioms(self, r):
@@ -232,12 +240,3 @@ class TestWeakOrder:
                     if rel[a.entries, b.entries] and rel[b.entries, c.entries]:
                         assert rel[a.entries, c.entries]
 
-
-def _inversions(pi: Permutation) -> int:
-    ent = pi.entries
-    return sum(
-        1
-        for i in range(len(ent))
-        for j in range(i + 1, len(ent))
-        if ent[i] > ent[j]
-    )

@@ -1,25 +1,21 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hookcomb.perm import PATTERN_312, Permutation, descents
-from hookcomb.vhc import (
-    Vhc,
+from hookcomb.experiments import reduced_count
+from hookcomb.perm import PATTERN_132, PATTERN_312, Permutation, avoiders, descents
+from hookcomb.vhc import Vhc, enumerate_vhcs, is_reduced, restrict, validate
+
+from .conftest import (
     _bruteforce_assignments,
-    enumerate_vhcs,
-    is_reduced,
-    restrict,
-    validate,
+    all_permutations,
+    perm,
     validate_bruteforce,
+    vhc_tallies_312,
 )
-
-from .conftest import all_permutations, vhc_tallies_312
-
-
-def perm(text: str) -> Permutation:
-    return Permutation.from_text(text)
 
 
 def ne_sets(v_iter) -> list[tuple[int, ...]]:
@@ -60,6 +56,18 @@ class TestValidate:
         assert Vhc.from_json(v.to_json()) == v
 
 
+def agree_with_oracle(pi: Permutation, ne) -> bool:
+    fast, slow = validate(pi, ne), validate_bruteforce(pi, ne)
+    return (fast and fast.matching) == (slow and slow.matching)
+
+
+def agree_on_all_subsets(n: int) -> None:
+    for pi in all_permutations(n):
+        for r in range(n + 1):
+            for ne in itertools.combinations(range(1, n + 1), r):
+                assert agree_with_oracle(pi, ne), (pi, ne)
+
+
 class TestBruteforceOracle:
     def test_agrees_on_worked_configuration(self):
         pi = perm("3215647")
@@ -70,26 +78,11 @@ class TestBruteforceOracle:
 
     @pytest.mark.parametrize("n", range(6))
     def test_exhaustive_agreement_small(self, n):
-        for pi in all_permutations(n):
-            for r in range(n + 1):
-                for ne in itertools.combinations(range(1, n + 1), r):
-                    fast = validate(pi, ne)
-                    slow = validate_bruteforce(pi, ne)
-                    assert (fast is None) == (slow is None), (pi, ne)
-                    if fast is not None:
-                        assert fast.matching == slow.matching
+        agree_on_all_subsets(n)
 
     def test_exhaustive_agreement_s7(self):
         """Full sweep at size 7: every permutation, every endpoint subset."""
-        n = 7
-        for pi in all_permutations(n):
-            for r in range(n + 1):
-                for ne in itertools.combinations(range(1, n + 1), r):
-                    fast = validate(pi, ne)
-                    slow = validate_bruteforce(pi, ne)
-                    assert (fast is None) == (slow is None), (pi, ne)
-                    if fast is not None:
-                        assert fast.matching == slow.matching
+        agree_on_all_subsets(7)
 
     @settings(max_examples=60, deadline=None)
     @given(st.permutations(list(range(1, 8))), st.data())
@@ -99,11 +92,7 @@ class TestBruteforceOracle:
         ne = data.draw(
             st.lists(st.integers(1, 7), min_size=d, max_size=d, unique=True)
         )
-        fast = validate(pi, ne)
-        slow = validate_bruteforce(pi, ne)
-        assert (fast is None) == (slow is None)
-        if fast is not None:
-            assert fast.matching == slow.matching
+        assert agree_with_oracle(pi, ne)
 
     def test_at_most_one_valid_assignment(self):
         """For fixed endpoints the crossing-free, nothing-above drawing is
@@ -123,8 +112,6 @@ class TestEnumerate:
         assert ne_sets(enumerate_vhcs(perm("2134"))) == [(3,), (4,)]
 
     def test_sum_over_av4_132(self):
-        from hookcomb.perm import PATTERN_132, avoiders
-
         total = sum(
             sum(1 for _ in enumerate_vhcs(pi)) for pi in avoiders(4, PATTERN_132)
         )
@@ -155,8 +142,6 @@ class TestEnumerate:
                     assert pi.entries[-1] == n
 
     def test_last_entry_maximal_over_size_9_avoider_classes(self):
-        from hookcomb.perm import PATTERN_132, avoiders
-
         for pattern in (PATTERN_132, PATTERN_312):
             for pi in avoiders(9, pattern):
                 if any(True for _ in enumerate_vhcs(pi)):
@@ -189,8 +174,6 @@ class TestReduction:
         assert reduced.pi.n == 0 and kept == ()
 
     def test_reduced_count_av3(self):
-        from hookcomb.perm import avoiders
-
         reduced = [
             v
             for pi in avoiders(3, PATTERN_312)
@@ -210,8 +193,6 @@ class TestReduction:
         ((213, {3}), indices {2, 3, 4}).  The surviving value sets there
         are {2, 3, 4} and {1, 3, 4}, and pairing with values is injective
         at every size tested."""
-        from hookcomb.perm import avoiders
-
         seen = set()
         for pi in avoiders(n, PATTERN_312):
             for v in enumerate_vhcs(pi):
@@ -236,10 +217,6 @@ class TestReduction:
     def test_binomial_expansion_identity(self, n):
         """Total configurations decompose over reduced ones by choosing
         the surviving index set."""
-        from math import comb
-
-        from hookcomb.experiments import reduced_count
-
         total = sum(vhc_tallies_312(n)[0].values())
         assert total == sum(
             comb(n, r) * reduced_count(r) for r in range(n + 1)

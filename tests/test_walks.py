@@ -9,9 +9,7 @@ from hookcomb.walks import (
     _KMAX_LIMIT,
     _hook_slot,
     _walk_counts,
-    count_pairs,
     count_walks,
-    vhc312_count,
     vhc312_series,
 )
 
@@ -158,10 +156,10 @@ class TestCountTable:
 
 class TestPairCounts:
     def test_n3(self):
-        assert count_pairs(3) == 5  # 1 + 0 + 3*1 + 1*1
+        assert vhc312_series(4)[4] == 5  # 1 + 0 + 3*1 + 1*1
 
     def test_n0(self):
-        assert count_pairs(0) == 1
+        assert vhc312_series(1)[1] == 1
 
     def test_forbidden_pair_rule(self):
         ud = ("U", "D")
@@ -175,23 +173,24 @@ class TestPairCounts:
     @pytest.mark.parametrize("n", range(9))
     def test_formula_equals_enumeration(self, n):
         direct = sum(1 for _ in enumerate_restricted_pairs(n))
-        assert count_pairs(n) == direct
+        assert vhc312_series(n + 1)[n + 1] == direct
 
 
 class TestVhc312Count:
     def test_n1(self):
-        assert vhc312_count(1) == 1
+        assert vhc312_series(1)[1] == 1
 
     def test_n4(self):
-        assert vhc312_count(4) == 5
+        assert vhc312_series(4)[4] == 5
 
     def test_frozen_series(self, walk_table_small):
-        got = [vhc312_count(n, walk_table_small) for n in range(1, 10)]
+        got = list(vhc312_series(9, walk_table_small).values[1:])
         assert got == [1, 1, 2, 5, 14, 44, 148, 528, 1972]
 
     def test_requires_positive_n(self):
-        with pytest.raises(ValueError):
-            vhc312_count(0)
+        # sizes start at 0: the series refuses a negative index
+        with pytest.raises(IndexError):
+            vhc312_series(4)[-1]
 
 
 class TestVhc312Series:
@@ -214,9 +213,8 @@ class TestVhc312Series:
 
     def test_single_values_read_the_series(self, walk_table_small):
         series = vhc312_series(17, walk_table_small)
-        for n in range(1, 18):
-            assert vhc312_count(n, walk_table_small) == series[n]
-            assert count_pairs(n - 1, walk_table_small) == series[n]
+        for n in range(1, 18):  # a shorter series is a prefix
+            assert vhc312_series(n, walk_table_small)[n] == series[n]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
