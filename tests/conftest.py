@@ -297,7 +297,6 @@ def dyck_prefix_leq(a: str, b: str) -> bool:
     return True
 
 
-
 @pytest.fixture(scope="session")
 def walk_table_small():
     return count_walks(16)
