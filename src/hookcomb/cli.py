@@ -136,8 +136,9 @@ def _cmd_count(args) -> int:
         series = vhc312_series(hi)
         rows = [(n, series[n]) for n in range(lo, hi + 1)]
     else:
+        # largest size first, so an over-cap size is refused before any work
         rows = [(n, vhc_count_exhaustive(n, pattern.entries))
-                for n in range(lo, hi + 1)]
+                for n in range(hi, lo - 1, -1)][::-1]
     if args.output == "csv":
         sys.stdout.write("n,count\n")
         for n, value in rows:

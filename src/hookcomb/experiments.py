@@ -3,7 +3,8 @@
 The reduced-configuration triangle is no sweep: ``triangle`` reads it off
 the hook-weighted walk DP of ``walks``.  The exhaustive counts here
 (``reduced_count``, ``vhc_count_exhaustive``, the Tamari image) are the
-left sides of the identity checks.  Everything is read-only over exact
+left sides of the identity checks; they sweep ``vhc.carriers``, the only
+avoiders with a configuration.  Everything is read-only over exact
 counts.  Checkers return lists of JSON-serializable report entries such as
 
     {"check": "conjecture2", "k": 3, "lhs": "5", "rhs": "5", "verdict": "holds"}
@@ -23,19 +24,18 @@ from functools import lru_cache
 
 from .maps import _ll_frame, _ll_map, _w_map
 from .motzkin import enumerate_intervals
-from .perm import (
-    PATTERN_132,
-    PATTERN_312,
-    Permutation,
-    avoiders,
-    bruhat_leq,
-)
-from .vhc import enumerate_vhcs, is_reduced
+from .perm import PATTERN_132, PATTERN_312, Permutation, bruhat_leq
+from .vhc import _carrier_pattern, carriers, enumerate_vhcs, is_reduced
 from .walks import CountTable, _hook_slot, _walk_counts, count_walks, vhc312_series
 
 _TRIANGLE_LIMIT = 20
 _EQ2_LIMIT = 9
-_TAMARI_LIMIT = 8
+_TAMARI_LIMIT = 10
+#: largest n of an exhaustive count, and its cost, by the length of sigma'
+#: (``vhc._carrier_pattern``) clamped to 2..4; only length 3 runs ``_Guard3``
+_EXHAUSTIVE_LIMIT = {2: (16, "2.3 s for 123 at n = 16 and 11 s at 18"),
+                     3: (12, "2.3 s for 132 at n = 12 and 12 s at 13"),
+                     4: (9, "3.4 s for 4231 at n = 9 and 33 s at 10")}
 _MIN_FIT_POINTS = 50
 
 _S3 = tuple(
@@ -51,13 +51,21 @@ def catalan(m: int) -> int:
 # --- exhaustive tallies ----------------------------------------------------
 
 
+def _check_exhaustive(n: int, pattern: Permutation) -> None:
+    cap, cost = _EXHAUSTIVE_LIMIT[min(max(_carrier_pattern(pattern).n, 2), 4)]
+    if n > cap:
+        raise ValueError(f"exhaustive counts over {pattern}-avoiders are capped "
+                         f"at n <= {cap}: {cost} on a 2-core Xeon")
+
+
 @lru_cache(maxsize=None)
 def vhc_count_exhaustive(n: int, pattern_entries: tuple[int, ...]) -> int:
     """Number of configurations on ``pattern``-avoiders of size ``n``,
-    by direct enumeration."""
+    by direct enumeration over the ``carriers``."""
     pattern = Permutation(pattern_entries)
+    _check_exhaustive(n, pattern)
     return sum(
-        sum(1 for _ in enumerate_vhcs(pi)) for pi in avoiders(n, pattern)
+        sum(1 for _ in enumerate_vhcs(pi)) for pi in carriers(n, pattern)
     )
 
 
@@ -65,7 +73,7 @@ def reduced_count(n: int) -> int:
     """Number of reduced configurations on 312-avoiders of size ``n``, by
     direct enumeration (the left side of ``check_eq2``)."""
     return sum(
-        is_reduced(v) for pi in avoiders(n, PATTERN_312) for v in enumerate_vhcs(pi)
+        is_reduced(v) for pi in carriers(n, PATTERN_312) for v in enumerate_vhcs(pi)
     )
 
 
@@ -175,12 +183,13 @@ def check_tamari_image(n_max: int = _TAMARI_LIMIT) -> list[dict]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > _TAMARI_LIMIT:
-        raise ValueError(f"exhaustive image sweep capped at n <= {_TAMARI_LIMIT}")
+        raise ValueError(f"exhaustive image sweep capped at n <= {_TAMARI_LIMIT}: "
+                         f"1.6 s at n = 10 and 5 s at 11 on a 2-core Xeon")
     report = []
     for n in range(1, n_max + 1):
         image = set()
         count = 0
-        for tau in avoiders(n, PATTERN_132):
+        for tau in carriers(n, PATTERN_132):
             for v in enumerate_vhcs(tau):
                 count += 1
                 interval = _ll_map(_ll_frame(_w_map(v)))  # valid by construction
@@ -226,6 +235,8 @@ def check_conjectures(
         raise ValueError(f"triangle rows capped at k <= {_TRIANGLE_LIMIT}")
     if bruhat_n_max < 1:
         raise ValueError("bruhat_n_max must be >= 1")
+    for sigma in _S3:
+        _check_exhaustive(bruhat_n_max, sigma)
     if rows is None:
         rows = triangle(k_max)
     report = []

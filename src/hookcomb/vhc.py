@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .perm import Permutation, Point, descent_bottoms
+from .perm import Permutation, Point, avoiders, descent_bottoms
 
 
 class Hook(NamedTuple):
@@ -141,6 +141,33 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[Vhc]:
     found.sort()
     for ne, hooks in found:
         yield Vhc(pi, frozenset(ne), hooks)
+
+
+def _carrier_pattern(sigma: Permutation) -> Permutation:
+    """``sigma'``: ``sigma`` less its last letter when that letter is its
+    maximum, else ``sigma``."""
+    sig = sigma.entries
+    return Permutation._trusted(sig[:-1]) if sig and sig[-1] == len(sig) else sigma
+
+
+def carriers(n: int, sigma: Permutation) -> Iterator[Permutation]:
+    """The ``sigma``-avoiders of size ``n`` that end in ``n``, the only
+    ones with a configuration (see ``enumerate_vhcs``), in lexicographic
+    order; ``avoiders(0, sigma)`` when ``n = 0``.
+
+    They are ``tau + (n,)`` for ``tau`` in ``avoiders(n - 1, sigma')``:
+    ``n`` can fill only the last place of an occurrence, and only as its
+    largest value, so ``tau + (n,)`` avoids ``sigma`` iff ``tau`` avoids
+    ``sigma' = sigma[:-1]`` when ``sigma`` ends in its maximum (which
+    implies avoiding ``sigma``), and ``sigma' = sigma`` otherwise.  Checked
+    against the filter-all oracle, in order, for the empty pattern and
+    every pattern of length 1 to 4 at every ``n <= 7``.
+    """
+    if n == 0:
+        yield from avoiders(0, sigma)
+        return
+    for tau in avoiders(n - 1, _carrier_pattern(sigma)):
+        yield Permutation._trusted(tau.entries + (n,))
 
 
 # --- reduction -------------------------------------------------------------

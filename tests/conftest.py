@@ -56,6 +56,13 @@ def brute_avoiders(n: int, sigma: Permutation) -> list[Permutation]:
     return [pi for pi in all_permutations(n) if not contains_pattern(pi, sigma)]
 
 
+def configurations_on_avoiders(n: int, sigma: Permutation) -> Iterator[Vhc]:
+    """Oracle for the sweeps over ``carriers``: every configuration on
+    every ``sigma``-avoider of size ``n``, the definition of the counts."""
+    for pi in avoiders(n, sigma):
+        yield from enumerate_vhcs(pi)
+
+
 @lru_cache(maxsize=None)
 def vhc_tallies_312(n: int) -> tuple[dict[int, int], dict[int, int]]:
     """Oracle for the hook-weighted walk DP: hook-count histograms over

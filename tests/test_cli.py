@@ -142,6 +142,25 @@ class TestCount:
         assert "length 1002" in proc.stderr and "cap of 1001" in proc.stderr
 
 
+    @pytest.mark.parametrize(
+        "argv,cap,cost",
+        [(["--pattern", "132", "--n", "1..13"], 12, "12 s at 13"),
+         (["--pattern", "312", "--n", "13", "--method", "enumerate"], 12, "12 s at 13"),
+         (["--pattern", "2413", "--n", "0..10", "--output", "csv"], 9, "33 s at 10"),
+         (["--pattern", "123", "--n", "17"], 16, "11 s at 18")],
+    )
+    def test_exhaustive_over_cap_fails_fast(self, argv, cap, cost):
+        proc = run("count", *argv, check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"capped at n <= {cap}" in proc.stderr and cost in proc.stderr
+
+    def test_patterns_ending_in_their_maximum_search_one_size_down(self):
+        """1324 counts search the 132-avoiders of size n - 1, so they are
+        the 132 counts."""
+        assert run("count", "--pattern", "1324", "--n", "9").stdout == "1683\n"
+        assert run("count", "--pattern", "132", "--n", "9").stdout == "1683\n"
+
+
 class TestSequencesAndChecks:
     def test_walks_csv_header(self):
         proc = run("walks", "--kmax", "4")
@@ -211,6 +230,11 @@ class TestSequencesAndChecks:
         assert {r["check"] for r in rows} == {
             "conjecture1", "conjecture2", "conjecture3", "conjecture4",
         }
+
+    def test_conjectures_over_cap_fails_fast(self):
+        proc = run("check", "--suite", "conjectures", "--nmax", "13", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "capped at n <= 12" in proc.stderr and "12 s at 13" in proc.stderr
 
     @pytest.mark.parametrize(
         "suite,nmax",

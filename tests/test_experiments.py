@@ -17,7 +17,10 @@ from hookcomb.experiments import (
     vhc_count_exhaustive,
 )
 
-from .conftest import vhc_tallies_312
+from hookcomb.perm import PATTERN_312
+from hookcomb.vhc import is_reduced
+
+from .conftest import all_permutations, configurations_on_avoiders, perm, vhc_tallies_312
 
 
 def three_dimensional_catalan(k: int) -> int:
@@ -90,6 +93,49 @@ class TestTriangle:
                 math.comb(n, 2 * k + i) * rows[k][i - 1] for i in range(1, k + 1)
             )
             assert total.get(k, 0) == expected
+
+
+class TestCarrierSweeps:
+    """The sweeps over ``carriers`` against the same sums over every
+    avoider."""
+
+    @pytest.mark.parametrize(
+        "sigma,n_max",
+        [(sigma, 9) for sigma in all_permutations(3)]
+        + [(perm(text), 7) for text in ("1324", "2413", "4231")],
+        ids=str,
+    )
+    def test_count(self, sigma, n_max):
+        for n in range(n_max + 1):
+            expected = sum(1 for _ in configurations_on_avoiders(n, sigma))
+            assert vhc_count_exhaustive(n, sigma.entries) == expected, n
+
+    def test_reduced_count(self):
+        for n in range(10):
+            expected = sum(map(is_reduced, configurations_on_avoiders(n, PATTERN_312)))
+            assert reduced_count(n) == expected, n
+
+
+class TestExhaustiveCaps:
+    @pytest.mark.parametrize(
+        "text,cap", [("123", 16), ("213", 16), ("132", 12), ("312", 12),
+                     ("1324", 12), ("2413", 9), ("4231", 9), ("12354", 9)],
+    )
+    def test_refused_past_the_cap(self, text, cap):
+        with pytest.raises(ValueError, match=f"n <= {cap}: "):
+            vhc_count_exhaustive(cap + 1, perm(text).entries)
+
+    def test_shorter_patterns_share_the_length_2_cap(self):
+        for text in ("1", "12", "21"):
+            with pytest.raises(ValueError, match="n <= 16"):
+                vhc_count_exhaustive(17, perm(text).entries)
+
+    def test_conjectures_refuse_before_the_triangle(self, monkeypatch):
+        import hookcomb.experiments
+
+        monkeypatch.setattr(hookcomb.experiments, "triangle", None)
+        with pytest.raises(ValueError, match="132-avoiders .* n <= 12"):
+            check_conjectures(k_max=2, bruhat_n_max=13)
 
 
 class TestEq2:
@@ -196,7 +242,11 @@ class TestTamariImage:
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
-            check_tamari_image(n_max=9)
+            check_tamari_image(n_max=11)
+
+    def test_holds_at_the_cap(self):
+        report = check_tamari_image(n_max=10)
+        assert all(entry["verdict"] == "holds" for entry in report)
 
     def test_enumerated_configurations_are_not_rechecked(self, monkeypatch):
         """Every configuration is validated once (building its ``w_map``

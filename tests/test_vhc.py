@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from hookcomb.experiments import reduced_count
 from hookcomb.perm import PATTERN_132, PATTERN_312, Permutation, avoiders, descents
-from hookcomb.vhc import Vhc, enumerate_vhcs, is_reduced, restrict, validate
+from hookcomb.vhc import Vhc, carriers, enumerate_vhcs, is_reduced, restrict, validate
 
 from .conftest import (
     _bruteforce_assignments,
     all_permutations,
+    contains_pattern,
     perm,
     validate_bruteforce,
     vhc_tallies_312,
@@ -146,6 +147,29 @@ class TestEnumerate:
             for pi in avoiders(9, pattern):
                 if any(True for _ in enumerate_vhcs(pi)):
                     assert pi.entries[-1] == 9
+
+
+CARRIER_PATTERNS = (
+    Permutation(()), perm("1"), perm("12"), perm("21"),
+    *all_permutations(3), *all_permutations(4),
+)
+
+
+class TestCarriers:
+    @pytest.mark.parametrize("sigma", CARRIER_PATTERNS, ids=str)
+    def test_matches_filtered_oracle(self, sigma):
+        """The filter-all oracle's avoiders that end in their maximum, in
+        order (all of them at n = 0).  The cheap test runs first."""
+        for n in range(8):
+            expected = [
+                pi for pi in all_permutations(n)
+                if (n == 0 or pi.entries[-1] == n) and not contains_pattern(pi, sigma)
+            ]
+            assert list(carriers(n, sigma)) == expected, (str(sigma), n)
+
+    def test_negative_size_raises(self):
+        with pytest.raises(ValueError):
+            list(carriers(-1, PATTERN_312))
 
 
 class TestReduction:
