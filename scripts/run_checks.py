@@ -3,8 +3,9 @@
 
 Usage: python scripts/run_checks.py [--kmax K] [--nmax N]
 
-The exit status is always 0 when the suites complete; verdicts (including
-any failing conjecture) live in the report lines.
+The exit status is 0 when the suites complete; verdicts (including any
+failing conjecture) live in the report lines.  A size past a cap exits 2
+with one ``hookcomb:`` line on stderr and nothing on stdout, as the CLI.
 """
 
 import argparse
@@ -28,12 +29,15 @@ def main() -> int:
     args = parser.parse_args()
 
     started = time.perf_counter()
-    rows = triangle(args.kmax)
-    report = []
-    report.extend(check_eq2(n_max=args.nmax, rows=rows))
-    report.extend(check_tamari_image(n_max=args.tamari_nmax))
-    report.extend(check_conjectures(k_max=args.kmax, bruhat_n_max=args.nmax,
-                                    rows=rows))
+    try:
+        rows = triangle(args.kmax)
+        report = check_eq2(n_max=args.nmax, rows=rows)
+        report.extend(check_tamari_image(n_max=args.tamari_nmax))
+        report.extend(check_conjectures(k_max=args.kmax, bruhat_n_max=args.nmax,
+                                        rows=rows))
+    except ValueError as exc:
+        print(f"hookcomb: {exc}", file=sys.stderr)
+        return 2
     for entry in report:
         print(json.dumps(entry, separators=(",", ":")))
     holds = sum(1 for e in report if e["verdict"] == "holds")

@@ -177,8 +177,10 @@ def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
     reaches a leaf.  Checked against the filter-all oracle for every
     pattern in S3 and every ``n <= 6`` in the tests, and against the
     earlier per-pattern guards for ``n <= 11`` (and ``n = 12`` for 312).
-    Other lengths use ``_GuardGeneric``, which only rejects candidates
-    completing an occurrence and may visit dead-end prefixes.
+    A length-2 pattern leaves one word, the monotone one with no pair in
+    its order: decreasing for 12, increasing for 21.  Other lengths use
+    ``_GuardGeneric``, which only rejects candidates completing an
+    occurrence and may visit dead-end prefixes.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -186,6 +188,10 @@ def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
         return  # the empty pattern occurs in everything, even the empty word
     if n == 0:
         yield Permutation(())
+        return
+    if sigma.n == 2:
+        word = range(1, n + 1) if sigma.entries == (2, 1) else range(n, 0, -1)
+        yield Permutation._trusted(tuple(word))
         return
 
     used = bytearray(n + 1)

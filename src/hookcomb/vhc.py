@@ -59,6 +59,10 @@ class Vhc:
     @classmethod
     def from_json(cls, text: str) -> "Vhc":
         data = json.loads(text)
+        if not (isinstance(data, dict) and isinstance(data.get("perm"), str)
+                and isinstance(data.get("ne"), list)):
+            raise ValueError(f"expected a JSON object with a string \"perm\" "
+                             f"and a list \"ne\": {text!r}")
         pi = Permutation.from_text(data["perm"])
         result = validate(pi, data["ne"])
         if result is None:

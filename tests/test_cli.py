@@ -147,7 +147,7 @@ class TestCount:
         [(["--pattern", "132", "--n", "1..13"], 12, "12 s at 13"),
          (["--pattern", "312", "--n", "13", "--method", "enumerate"], 12, "12 s at 13"),
          (["--pattern", "2413", "--n", "0..10", "--output", "csv"], 9, "33 s at 10"),
-         (["--pattern", "123", "--n", "17"], 16, "11 s at 18")],
+         (["--pattern", "123", "--n", "501"], 500, "at n = 993")],
     )
     def test_exhaustive_over_cap_fails_fast(self, argv, cap, cost):
         proc = run("count", *argv, check=False)
@@ -204,9 +204,9 @@ class TestSequencesAndChecks:
         assert proc.stdout == "k,i,n,value\n1,1,3,1\n"
 
     def test_triangle_over_cap_fails_fast(self):
-        proc = run("triangle", "--kmax", "21", check=False)
+        proc = run("triangle", "--kmax", "41", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "k <= 20" in proc.stderr
+        assert "k <= 40" in proc.stderr
 
     def test_intervals_over_cap_fails_fast(self):
         for output in (["--count-only"], ["--output", "csv"]):
@@ -262,6 +262,14 @@ class TestRender:
     def test_requires_exactly_one_object(self, tmp_path):
         proc = run("render", "--out", str(tmp_path / "x.svg"), check=False)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("text", ['{"perm":"21"}', "[1]", '{"ne":[]}',
+                                      '{"perm":21,"ne":[]}'])
+    def test_malformed_vhc_is_config_error(self, tmp_path, text):
+        out = tmp_path / "x.svg"
+        proc = run("render", "--vhc", text, "--out", str(out), check=False)
+        assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+        assert "perm" in proc.stderr and "internal error" not in proc.stderr
 
     def test_unwritable_path_fails(self):
         proc = run(

@@ -1,8 +1,11 @@
 import math
+import random
 
 import pytest
 
 from hookcomb.experiments import (
+    _EQ2_LIMIT,
+    _EXHAUSTIVE_LIMIT,
     _TRIANGLE_LIMIT,
     AsymptoticFit,
     asymptotic_fit,
@@ -10,7 +13,6 @@ from hookcomb.experiments import (
     check_conjectures,
     check_eq2,
     check_tamari_image,
-    distinct_real_roots,
     real_rooted,
     reduced_count,
     triangle,
@@ -118,7 +120,7 @@ class TestCarrierSweeps:
 
 class TestExhaustiveCaps:
     @pytest.mark.parametrize(
-        "text,cap", [("123", 16), ("213", 16), ("132", 12), ("312", 12),
+        "text,cap", [("123", 500), ("213", 500), ("132", 12), ("312", 12),
                      ("1324", 12), ("2413", 9), ("4231", 9), ("12354", 9)],
     )
     def test_refused_past_the_cap(self, text, cap):
@@ -126,9 +128,19 @@ class TestExhaustiveCaps:
             vhc_count_exhaustive(cap + 1, perm(text).entries)
 
     def test_shorter_patterns_share_the_length_2_cap(self):
+        cap = _EXHAUSTIVE_LIMIT[2][0]
         for text in ("1", "12", "21"):
-            with pytest.raises(ValueError, match="n <= 16"):
-                vhc_count_exhaustive(17, perm(text).entries)
+            with pytest.raises(ValueError, match=f"n <= {cap}"):
+                vhc_count_exhaustive(cap + 1, perm(text).entries)
+
+    def test_length_2_carriers_count_at_the_cap(self):
+        """123 leaves one configuration up to n = 3 and none past it (two
+        descent tops before the last point cannot both close), 213 one at
+        every size (the identity, with no hook)."""
+        cap = _EXHAUSTIVE_LIMIT[2][0]
+        for n in (0, 1, 2, 3, 4, cap):
+            assert vhc_count_exhaustive(n, (1, 2, 3)) == (n <= 3), n
+            assert vhc_count_exhaustive(n, (2, 1, 3)) == 1, n
 
     def test_conjectures_refuse_before_the_triangle(self, monkeypatch):
         import hookcomb.experiments
@@ -147,8 +159,8 @@ class TestEq2:
         assert [reduced_count(n) for n in range(7)] == [1, 0, 0, 1, 0, 3, 5]
 
     def test_budget_guard(self):
-        with pytest.raises(ValueError):
-            check_eq2(n_max=10)
+        with pytest.raises(ValueError, match=f"n <= {_EQ2_LIMIT}: "):
+            check_eq2(n_max=_EQ2_LIMIT + 1)
 
 
 class TestConjectures:
@@ -184,6 +196,10 @@ class TestConjectures:
         }["312"]
         assert column == [str(real(n, (3, 1, 2))) for n in range(1, 8)]
 
+    def test_kmax_past_the_cap_is_refused_by_the_triangle(self):
+        with pytest.raises(ValueError, match=f"k <= {_TRIANGLE_LIMIT}: "):
+            check_conjectures(k_max=_TRIANGLE_LIMIT + 1)
+
     def test_alternating_sum_row3(self):
         rows = triangle(3)
         assert 14 - 51 + 42 == 5 == catalan(3)
@@ -205,19 +221,40 @@ class TestConjectures:
         ] == [1] * 6
 
 
+def _times(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _real_rooted_products(rng: random.Random, count: int):
+    """Products of integer linear factors and of ``x^2 - d`` factors with
+    ``d`` not a square, each with multiplicity 1 to 3, low degree first."""
+    for _ in range(count):
+        p = [rng.choice([1, -1, 2, -3])]
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.7:
+                factor = [rng.randint(-6, 6), rng.choice([1, 2, 3, -1, -2])]
+            else:
+                factor = [-rng.choice([2, 3, 5, 6, 7, 8, 10, 12]), 0, 1]
+            for _ in range(rng.randint(1, 3)):
+                p = _times(p, factor)
+        yield p
+
+
 class TestSturm:
     def test_distinct_roots_of_products(self):
         # (x - 1)(x - 2)(x - 3) = x^3 - 6x^2 + 11x - 6
-        assert distinct_real_roots([-6, 11, -6, 1]) == 3
+        assert real_rooted([-6, 11, -6, 1])
 
     def test_no_real_roots(self):
-        assert distinct_real_roots([1, 0, 1]) == 0
         assert not real_rooted([1, 0, 1])
 
     def test_double_root_is_real_rooted(self):
         # (x - 1)^2
         assert real_rooted([1, -2, 1])
-        assert distinct_real_roots([1, -2, 1]) == 1
 
     def test_irrational_roots(self):
         assert real_rooted([-2, 0, 1])  # x^2 - 2
@@ -230,9 +267,21 @@ class TestSturm:
         assert real_rooted([5])
         assert real_rooted([3, 2])
 
+    def test_known_roots(self):
+        """1,000 seeded products with only real roots, many repeated, and
+        each of them times ``x^2 + c`` with ``c > 0``, which has two
+        complex roots."""
+        rng = random.Random(2019)
+        for p in _real_rooted_products(rng, 1000):
+            assert real_rooted(p), p
+            q = _times(p, [rng.randint(1, 9), 0, 1])
+            assert not real_rooted(q), q
+
     def test_triangle_rows_are_real_rooted(self):
-        for row in triangle(3):
-            assert real_rooted(list(reversed(row.entries)))
+        rows = triangle(_TRIANGLE_LIMIT)
+        assert len(rows) == _TRIANGLE_LIMIT
+        for row in rows:
+            assert real_rooted(list(reversed(row.entries))), row.k
 
 
 class TestTamariImage:

@@ -115,10 +115,15 @@ class TestAvoiders:
         assert words == sorted(words)
 
     def test_length_4_pattern_uses_generic_guard(self):
-        # also the lengths 1 and 2, which take the same guard
-        for text in ("1234", "2413", "1", "12", "21"):
+        # also length 1, which takes the same guard
+        for text in ("1234", "2413", "1"):
             sigma = perm(text)
             assert list(avoiders(6, sigma)) == brute_avoiders(6, sigma), text
+        # length 2 yields its one monotone word directly
+        for text in ("12", "21"):
+            sigma = perm(text)
+            for n in range(9):
+                assert list(avoiders(n, sigma)) == brute_avoiders(n, sigma), (text, n)
 
     @pytest.mark.parametrize("sigma", ALL_S3)
     @pytest.mark.parametrize("n", range(7))

@@ -9,11 +9,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> str:
-    proc = subprocess.run(
+def script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
+
+
+def run_script(name: str, *args: str) -> str:
+    proc = script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -23,6 +27,13 @@ def test_run_checks_all_hold():
                      "--tamari-nmax", "5")
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows and all(r["verdict"] == "holds" for r in rows)
+
+
+def test_run_checks_over_cap_fails_like_the_cli():
+    proc = script("run_checks.py", "--kmax", "41")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("hookcomb: ") and "k <= 40" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_fit_growth_runs():
