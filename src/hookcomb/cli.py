@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
+from operator import attrgetter
 
 from .experiments import (
     asymptotic_fit,
@@ -32,7 +34,7 @@ from .maps import (
     w_map,
     w_map_left_inverse,
 )
-from .motzkin import Interval, MotzkinPath, enumerate_intervals
+from .motzkin import Interval, MotzkinPath, count_intervals, enumerate_intervals
 from .perm import PATTERN_312, Permutation
 from .render import render_path, render_vhc
 from .vhc import Vhc, validate
@@ -43,6 +45,11 @@ _COMPACT = {"separators": (",", ":")}
 
 def _jdump(obj) -> str:
     return json.dumps(obj, **_COMPACT)
+
+
+def _write(lines) -> None:
+    """Write ``lines`` (newline-terminated strings) in one call."""
+    sys.stdout.write("".join(lines))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -140,16 +147,12 @@ def _cmd_count(args) -> int:
         rows = [(n, vhc_count_exhaustive(n, pattern.entries))
                 for n in range(hi, lo - 1, -1)][::-1]
     if args.output == "csv":
-        sys.stdout.write("n,count\n")
-        for n, value in rows:
-            sys.stdout.write(f"{n},{value}\n")
+        _write(["n,count\n", *(f"{n},{value}\n" for n, value in rows)])
     elif lo == hi:
         sys.stdout.write(f"{rows[0][1]}\n")
     else:
-        for n, value in rows:
-            sys.stdout.write(
-                _jdump({"pattern": str(pattern), "n": n, "count": str(value)}) + "\n"
-            )
+        _write(_jdump({"pattern": str(pattern), "n": n, "count": str(value)}) + "\n"
+               for n, value in rows)
     return 0
 
 
@@ -233,33 +236,32 @@ def _cmd_map(args) -> int:
 def _cmd_intervals(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be >= 0")
-    stream = enumerate_intervals(args.order, args.n)
     if args.count_only:
-        sys.stdout.write(f"{sum(1 for _ in stream)}\n")
+        sys.stdout.write(f"{count_intervals(args.order, args.n)}\n")
         return 0
-    if args.output == "csv":
+    stream = enumerate_intervals(args.order, args.n)  # refuses past the cap
+    csv = args.output == "csv"
+    if csv:
         sys.stdout.write("lower,upper,order\n")
-        for iv in stream:
-            sys.stdout.write(f"{iv.lower},{iv.upper},{iv.order}\n")
-    else:
-        for iv in stream:
-            sys.stdout.write(iv.to_json() + "\n")
+    # one write per lower path, whose intervals come consecutively
+    for _, chunk in groupby(stream, attrgetter("lower.steps")):
+        if csv:
+            _write(f"{iv.lower},{iv.upper},{iv.order}\n" for iv in chunk)
+        else:
+            _write(iv.to_json() + "\n" for iv in chunk)
     return 0
 
 
 def _cmd_triangle(args) -> int:
     rows = triangle(args.kmax)
     if args.output == "csv":
-        sys.stdout.write("k,i,n,value\n")
-        for row in rows:
-            for i, value in enumerate(row.entries, start=1):
-                sys.stdout.write(f"{row.k},{i},{2 * row.k + i},{value}\n")
+        _write(["k,i,n,value\n", *(
+            f"{row.k},{i},{2 * row.k + i},{value}\n"
+            for row in rows for i, value in enumerate(row.entries, start=1)
+        )])
     else:
-        for row in rows:
-            sys.stdout.write(
-                _jdump({"k": row.k, "entries": [str(e) for e in row.entries]})
-                + "\n"
-            )
+        _write(_jdump({"k": row.k, "entries": [str(e) for e in row.entries]}) + "\n"
+               for row in rows)
     return 0
 
 
@@ -273,8 +275,7 @@ def _cmd_check(args) -> int:
     else:
         nmax = 9 if args.nmax is None else args.nmax
         report = check_eq2(n_max=nmax, rows=triangle(args.kmax))
-    for entry in report:
-        sys.stdout.write(_jdump(entry) + "\n")
+    _write(_jdump(entry) + "\n" for entry in report)
     return 0
 
 

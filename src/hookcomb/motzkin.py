@@ -29,12 +29,15 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
+from .walks import vhc312_series
+
 ORDERS = ("S", "C", "T")
 
-#: longest paths ``enumerate_intervals`` pairs, by order.  Counting every
-#: interval at the cap took 50 s for S at n = 11 (7 times more per step:
-#: it compares all pairs), 15 s for C and 12 s for T at n = 13 (4 to 5
-#: times more per step) on a 2-core Xeon with Python 3.11
+#: longest paths ``enumerate_intervals`` pairs, by order, and that
+#: ``count_intervals`` counts for S and T.  Listing every interval at the
+#: cap took 8.4 s for S at n = 11 (4.4 s to count; 7 times more per step:
+#: it compares all pairs), 3.8 s for C and 2.8 s for T at n = 13 (2.0 s to
+#: count T; 3 to 4 times more per step) on a 2-core Xeon with Python 3.11
 _INTERVAL_LIMIT = {"S": 11, "C": 13, "T": 13}
 
 _DISPLACEMENT = {"U": 1, "E": 0, "D": -1}
@@ -237,24 +240,72 @@ def enumerate_intervals(order: str, n: int) -> Iterator[Interval]:
     both components in the U < D < E lexicographic order.  A lower path
     meets only the paths of its own class (S has one class).  Lengths past
     ``_INTERVAL_LIMIT[order]`` raise at the call, before any work."""
-    class_of, statistic = _comparison(order)
+    return _intervals(order, n, *_listed_comparison(order, n))
+
+
+def count_intervals(order: str, n: int) -> int:
+    """The number of ``order``-intervals of length-``n`` paths.
+
+    C reads it off the walk series: ``ll_map`` is a bijection from the
+    configurations on 312-avoiders of size ``n + 1`` onto the C-intervals
+    of length ``n``, so the count is ``vhc312_series(n + 1)[n + 1]`` (equal
+    to the listed count for every n <= 13).  Its cap is the walk table's,
+    ``walks._KMAX_LIMIT``.  S and T count the pairs ``enumerate_intervals``
+    would list, without building them, under the same cap.
+    """
+    if order == "C":
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return vhc312_series(n + 1)[n + 1]
+    keyed, by_class, guard = _packed_paths(n, *_listed_comparison(order, n))
+    return sum(
+        sum([(high - low) & guard == guard for high, _ in by_class[cls]])
+        for cls, low, _ in keyed
+    )
+
+
+def _listed_comparison(order: str, n: int):
+    """``_comparison(order)``, refusing lengths past ``_INTERVAL_LIMIT``."""
+    comparison = _comparison(order)
     if n > _INTERVAL_LIMIT[order]:
         raise ValueError(
             f"{order}-intervals of length {n} pair the M({n}) = "
             f"{motzkin_number(n)} Motzkin paths; refusing n > {_INTERVAL_LIMIT[order]}"
         )
-    return _intervals(order, n, class_of, statistic)
+    return comparison
+
+
+def _packed_paths(n: int, class_of, statistic):
+    """The length-``n`` paths as ``(class, packed statistic, path)``, the
+    same paths by class as ``(packed statistic | guard, path)``, and the
+    guard mask.
+
+    Each statistic value (at most ``n``) gets a slot of
+    ``(n + 1).bit_length() + 1`` bits whose top bit is a guard.
+    Subtracting a packed ``lower`` from ``upper | guard`` never borrows
+    past a slot's guard, and that guard stays set iff the slot's ``lower``
+    value is at most its ``upper`` one.  So ``lower <= upper`` in every
+    slot iff ``((upper | guard) - lower) & guard == guard``."""
+    width = (n + 1).bit_length() + 1
+    guard = sum(1 << width * i + width - 1 for i in range(n))
+    keyed = []
+    by_class: dict[str, list[tuple[int, MotzkinPath]]] = {}
+    for p in enumerate_paths(n):
+        packed = 0
+        for value in statistic(p):
+            packed = packed << width | value
+        cls = class_of(p)
+        keyed.append((cls, packed, p))
+        by_class.setdefault(cls, []).append((packed | guard, p))
+    return keyed, by_class, guard
 
 
 def _intervals(order, n, class_of, statistic) -> Iterator[Interval]:
-    keyed = [(class_of(p), statistic(p), p) for p in enumerate_paths(n)]
-    by_class: dict[str, list[tuple[tuple[int, ...], MotzkinPath]]] = {}
-    for cls, stat, p in keyed:
-        by_class.setdefault(cls, []).append((stat, p))
-    for cls, stat, lower in keyed:
-        for upper_stat, upper in by_class[cls]:
-            if all(a <= b for a, b in zip(stat, upper_stat)):
-                yield Interval._trusted(lower, upper, order)
+    keyed, by_class, guard = _packed_paths(n, class_of, statistic)
+    trusted = Interval._trusted
+    for cls, low, lower in keyed:
+        for upper in [q for high, q in by_class[cls] if (high - low) & guard == guard]:
+            yield trusted(lower, upper, order)
 
 
 def motzkin_number(n: int) -> int:

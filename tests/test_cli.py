@@ -1,8 +1,14 @@
+import io
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
+
+from hookcomb.cli import main
+from hookcomb.motzkin import MotzkinPath, leq
+from hookcomb.walks import vhc312_series
 
 PYTHON = [sys.executable, "-m", "hookcomb"]
 
@@ -191,6 +197,12 @@ class TestSequencesAndChecks:
             "intervals", "--order", "C", "--n", "3", "--count-only"
         ).stdout == "5\n"
 
+    @pytest.mark.parametrize("n", [14, 30])
+    def test_c_count_only_reads_the_walk_series(self, n):
+        """Past the listing cap of 13, C is counted from the walk series."""
+        proc = run("intervals", "--order", "C", "--n", str(n), "--count-only")
+        assert proc.stdout == f"{vhc312_series(n + 1)[n + 1]}\n"
+
     def test_triangle_json(self):
         proc = run("triangle", "--kmax", "2")
         rows = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -284,3 +296,63 @@ class TestDeterminism:
         a = run("map", "--name", "ll", "--perm", "324156", "--ne", "3,6")
         b = run("map", "--name", "ll", "--perm", "324156", "--ne", "3,6")
         assert a.stdout == b.stdout
+
+
+def paths_by_brute_force(n: int) -> list[MotzkinPath]:
+    """Every step word of length ``n`` that is a Motzkin path, in the
+    U < D < E lexicographic order."""
+    out = []
+    for word in itertools.product("UDE", repeat=n):
+        try:
+            out.append(MotzkinPath("".join(word)))
+        except ValueError:
+            pass
+    return out
+
+
+class TestIntervalListing:
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("order", ["S", "C", "T"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_bytes_equal_the_all_pairs_filter(self, capsys, n, order, output):
+        """The chunked listing against text built here from all pairs."""
+        ps = paths_by_brute_force(n)
+        pairs = [(p, q) for p in ps for q in ps if leq(order, p, q)]
+        if output == "csv":
+            want = "lower,upper,order\n" + "".join(
+                f"{p.steps},{q.steps},{order}\n" for p, q in pairs)
+        else:
+            want = "".join(
+                f'{{"lower":"{p.steps}","upper":"{q.steps}","order":"{order}"}}\n'
+                for p, q in pairs)
+        assert main(["intervals", "--order", order, "--n", str(n),
+                     "--output", output]) == 0
+        assert capsys.readouterr().out == want
+
+
+class WriteCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestWrites:
+    @pytest.mark.parametrize("argv, writes", [
+        (["count", "--pattern", "312", "--n", "1..300", "--output", "csv"], 1),
+        (["count", "--pattern", "312", "--n", "1..30"], 1),
+        (["triangle", "--kmax", "5", "--output", "csv"], 1),
+        (["triangle", "--kmax", "5"], 1),
+        (["check", "--suite", "tamari", "--nmax", "4"], 1),
+        # the header, then one chunk per lower path: M(5) = 21
+        (["intervals", "--order", "S", "--n", "5", "--output", "csv"], 22),
+        (["intervals", "--order", "T", "--n", "5"], 21),
+    ])
+    def test_one_write_per_chunk(self, monkeypatch, argv, writes):
+        out = WriteCounter()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        assert out.writes == writes

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hookcomb.motzkin import (
     Interval,
     MotzkinPath,
+    count_intervals,
     enumerate_intervals,
     enumerate_paths,
     is_dyck_prefix,
@@ -223,6 +224,31 @@ class TestEnumeration:
             enumerate_intervals("S", 12)  # the call raises, not the first item
         with pytest.raises(ValueError, match=r"M\(14\) = 113634.*n > 13"):
             enumerate_intervals("C", 14)
+
+    @pytest.mark.parametrize("order", ["S", "C", "T"])
+    @pytest.mark.parametrize("n", range(10))
+    def test_count_matches_listing(self, order, n):
+        """C from the walk series, S and T by packed counting."""
+        assert count_intervals(order, n) == sum(1 for _ in enumerate_intervals(order, n))
+
+    def test_counts_refused_past_the_cap_before_any_work(self, monkeypatch):
+        import hookcomb.motzkin
+        from hookcomb.walks import _KMAX_LIMIT
+
+        def no_paths(n):
+            raise AssertionError("enumerated paths past the cap")
+
+        monkeypatch.setattr(hookcomb.motzkin, "enumerate_paths", no_paths)
+        with pytest.raises(ValueError, match=r"M\(12\) = 15511.*n > 11"):
+            count_intervals("S", 12)
+        with pytest.raises(ValueError, match=r"M\(14\) = 113634.*n > 13"):
+            count_intervals("T", 14)
+        with pytest.raises(ValueError, match=f"cap of {_KMAX_LIMIT + 1}"):
+            count_intervals("C", _KMAX_LIMIT + 1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            count_intervals("C", -1)
+        with pytest.raises(ValueError, match="order must be one of"):
+            count_intervals("X", 3)
 
     def test_intervals_c3(self):
         assert sum(1 for _ in enumerate_intervals("C", 3)) == 5
