@@ -32,11 +32,10 @@ _EQ2_LIMIT = 11
 _TAMARI_LIMIT = 10
 #: largest n of an exhaustive count, and its cost, by the length of sigma'
 #: (``vhc._carrier_pattern``) clamped to 2..4; only length 3 runs ``_Guard3``
-_EXHAUSTIVE_LIMIT = {2: (500, "the recursive sweep of enumerate_vhcs passes "
-                             "Python's recursion limit of 1000 for 213 at n = 993, "
-                             "after at most 6 ms for 123 and 213 at every n <= 990"),
-                     3: (12, "2.3 s for 132 at n = 12 and 12 s at 13"),
-                     4: (9, "3.4 s for 4231 at n = 9 and 33 s at 10")}
+_EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 2.7 s "
+                              "(213: 1.2 s), and 1..4000 takes 15 s"),
+                     3: (12, "2.5 s for 132 at n = 12 and 9.4 s at 13"),
+                     4: (9, "4.3 s for 4231 at n = 9 and 43 s at 10")}
 _MIN_FIT_POINTS = 50
 
 _S3 = tuple(
@@ -156,7 +155,7 @@ def check_eq2(n_max: int = _EQ2_LIMIT,
         raise ValueError("n_max must be >= 0")
     if n_max > _EQ2_LIMIT:
         raise ValueError(f"exhaustive reduced counts capped at n <= {_EQ2_LIMIT}: "
-                         f"1.1 s at n = 11 and 5.5 s at 12 on a 2-core Xeon")
+                         f"0.9 s at n = 11 and 4.0 s at 12 on a 2-core Xeon")
     table = count_walks(max(n_max - 1, 0))
     report = []
     formula = {}
@@ -186,7 +185,7 @@ def check_tamari_image(n_max: int = _TAMARI_LIMIT) -> list[dict]:
         raise ValueError("n_max must be >= 1")
     if n_max > _TAMARI_LIMIT:
         raise ValueError(f"exhaustive image sweep capped at n <= {_TAMARI_LIMIT}: "
-                         f"1.6 s at n = 10 and 5 s at 11 on a 2-core Xeon")
+                         f"1.5 s at n = 10 and 5.8 s at 11 on a 2-core Xeon")
     report = []
     for n in range(1, n_max + 1):
         image = set()

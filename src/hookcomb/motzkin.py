@@ -194,10 +194,9 @@ class Interval:
         return interval
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"lower": str(self.lower), "upper": str(self.upper), "order": self.order},
-            separators=(",", ":"),
-        )
+        # U/D/E paths and an S/C/T order need no escaping
+        return (f'{{"lower":"{self.lower.steps}","upper":"{self.upper.steps}",'
+                f'"order":"{self.order}"}}')
 
     @classmethod
     def from_json(cls, text: str) -> "Interval":

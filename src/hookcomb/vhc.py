@@ -14,9 +14,11 @@ fixed ``V`` at most one assignment of descent tops to ``V`` can work, namely
 the balanced-parenthesis matching of the merged left-to-right listing of
 descent tops (as ``(``) and ``V`` (as ``)``), with the close listed before
 the open at a point playing both roles.  A close is allowed iff the closing
-point lies above every point from the hook's southwest end onward.
-``validate`` and ``enumerate_vhcs`` share this one rule; the tests keep a
-geometric oracle that tries every assignment and draws the hooks.
+point lies above every point from the hook's southwest end onward.  So a
+``Vhc`` stores only ``(pi, V)``: ``validate`` and ``enumerate_vhcs`` run
+this one sweep without drawing a hook, and the ``matching`` property draws
+them on demand.  The tests keep a geometric oracle that tries every
+assignment and draws the hooks.
 
 ``Vhc`` values are immutable; build them with ``validate`` (or the
 enumerator), not by hand.
@@ -28,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .perm import Permutation, Point, avoiders, descent_bottoms
+from .perm import Permutation, Point, avoiders, descents
 
 
 class Hook(NamedTuple):
@@ -38,23 +40,29 @@ class Hook(NamedTuple):
 
 @dataclass(frozen=True)
 class Vhc:
-    """A valid hook configuration ``(pi, V)`` with its derived matching.
+    """A valid hook configuration ``(pi, V)``.
 
-    ``ne_set`` holds the northeast endpoints as indices into ``pi``;
-    ``matching`` is the unique hook matching, sorted by southwest index.
-    The matching is always recomputed from ``(pi, ne_set)`` and is never
-    serialized.
+    ``ne_set`` holds the northeast endpoints as indices into ``pi``.  It
+    determines the configuration, so equality and hashing follow
+    ``(pi, ne_set)`` alone, and ``matching`` derives the unique hook
+    matching, sorted by southwest index:
+
+    >>> validate(Permutation.from_text("2134"), {3}).matching
+    (Hook(sw=Point(index=1, value=2), ne=Point(index=3, value=3)),)
     """
 
     pi: Permutation
     ne_set: frozenset[int]
-    matching: tuple[Hook, ...]
+
+    @property
+    def matching(self) -> tuple[Hook, ...]:
+        ent = self.pi.entries
+        return tuple(Hook(Point(s + 1, ent[s]), Point(i + 1, ent[i]))
+                     for s, i in sorted(_matching(ent, self.ne_set)))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"perm": str(self.pi), "ne": sorted(self.ne_set)},
-            separators=(",", ":"),
-        )
+        return json.dumps({"perm": str(self.pi), "ne": sorted(self.ne_set)},
+                          separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "Vhc":
@@ -78,73 +86,63 @@ def _checked_ne(pi: Permutation, ne_indices: Iterable[int]) -> frozenset[int]:
     return ne
 
 
-def _close(ent: tuple[int, ...], s: int, i: int) -> Hook | None:
-    """The hook from 0-based position ``s`` to ``i``, or ``None`` when the
-    point at ``i`` does not top ``max(ent[s:i])``: the descent top and
-    every point between.  This is the one rule of the sweep."""
-    v = ent[i]
-    return Hook(Point(s + 1, ent[s]), Point(i + 1, v)) if v > max(ent[s:i]) else None
+def _matching(ent: tuple[int, ...], ne: frozenset[int]) -> list[tuple[int, int]] | None:
+    """The hooks of the NE set ``ne`` as 0-based (southwest, northeast)
+    positions in closing order, or ``None`` when there is no configuration.
+
+    One left-to-right sweep keeps the stack of open southwest positions: a
+    point in ``ne`` closes the innermost open hook (close before open at a
+    shared point) and a descent top opens one.  A close is allowed iff the
+    point tops the hook's descent top and every point between; a refused
+    or unmatched close, or a hook left open, means no configuration.
+    """
+    opened: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    for i, v in enumerate(ent):
+        if i + 1 in ne:
+            if not opened or v < max(ent[(s := opened.pop()):i]):
+                return None
+            pairs.append((s, i))
+        if i + 1 < len(ent) and v > ent[i + 1]:
+            opened.append(i)
+    return None if opened else pairs
 
 
 def validate(pi: Permutation, ne_indices: Iterable[int]) -> Vhc | None:
-    """Build the unique valid hook configuration with northeast endpoint
-    set ``ne_indices``, or return ``None`` when there is none.
-
-    One left-to-right sweep keeps the stack of open southwest positions: a
-    point in the NE set closes the innermost open hook by ``_close`` (close
-    before open at a shared point) and a descent top opens one.  A close
-    the rule refuses, an unmatched close or a hook left open means no
-    configuration.
-    """
+    """The valid hook configuration with northeast endpoint set
+    ``ne_indices``, or ``None`` when ``_matching`` finds none."""
     ne = _checked_ne(pi, ne_indices)
-    ent = pi.entries
-    opened: list[int] = []
-    hooks: list[Hook] = []
-    for i, v in enumerate(ent):
-        if i + 1 in ne:
-            hook = _close(ent, opened.pop(), i) if opened else None
-            if hook is None:
-                return None
-            hooks.append(hook)
-        if i + 1 < len(ent) and v > ent[i + 1]:
-            opened.append(i)
-    if opened:
-        return None
-    hooks.sort()
-    return Vhc(pi, ne, tuple(hooks))
+    return None if _matching(pi.entries, ne) is None else Vhc(pi, ne)
 
 
 def enumerate_vhcs(pi: Permutation) -> Iterator[Vhc]:
     """All valid hook configurations on ``pi``, ordered lexicographically
     by sorted NE-endpoint indices.
 
-    The sweep of ``validate`` with both choices at each point: it closes
-    the innermost open hook when ``_close`` allows, or it does not.
+    The sweep of ``_matching`` with both choices at each point, run from
+    an explicit stack of ``(position, open hooks, NE endpoints)``: the
+    innermost open hook closes when the rule allows, or it does not.  The
+    close branch is pushed last, so it is taken first, and each
+    configuration is yielded as the sweep reaches it.  That order is
+    lexicographic because every configuration on ``pi`` has one NE
+    endpoint per descent top, so no NE tuple is a prefix of another.
     """
     n = pi.n
     ent = pi.entries
     if n and ent[-1] != n:
         return  # the maximal value would be a hookless descent top
-    found: list[tuple[tuple[int, ...], tuple[Hook, ...]]] = []
-
-    def sweep(i: int, opened: tuple[int, ...], ne: tuple[int, ...],
-              hooks: tuple[Hook, ...]) -> None:
+    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
+    while stack:
+        i, opened, ne = stack.pop()
         if len(opened) > n - i:
-            return  # not enough points left to close the open hooks
+            continue  # not enough points left to close the open hooks
         if i == n:
-            if not opened:
-                found.append((ne, tuple(sorted(hooks))))
-            return
+            yield Vhc(pi, frozenset(ne))
+            continue
         top = (i,) if i + 1 < n and ent[i] > ent[i + 1] else ()
-        hook = _close(ent, opened[-1], i) if opened else None
-        if hook is not None:
-            sweep(i + 1, opened[:-1] + top, ne + (i + 1,), hooks + (hook,))
-        sweep(i + 1, opened + top, ne, hooks)
-
-    sweep(0, (), (), ())
-    found.sort()
-    for ne, hooks in found:
-        yield Vhc(pi, frozenset(ne), hooks)
+        stack.append((i + 1, opened + top, ne))
+        if opened and ent[i] > max(ent[opened[-1]:i]):
+            stack.append((i + 1, opened[:-1] + top, ne + (i + 1,)))
 
 
 def _carrier_pattern(sigma: Permutation) -> Permutation:
@@ -178,9 +176,12 @@ def carriers(n: int, sigma: Permutation) -> Iterator[Permutation]:
 
 
 def _kept(v: Vhc) -> set[int]:
-    """Indices of the hook endpoints and the descent bottoms."""
-    ends = {p.index for hook in v.matching for p in hook}
-    return ends.union(p.index for p in descent_bottoms(v.pi))
+    """Indices of the hook endpoints (the NE set and the descent tops) and
+    the descent bottoms."""
+    kept = set(v.ne_set)
+    for i in descents(v.pi):
+        kept.update((i, i + 1))
+    return kept
 
 
 def is_reduced(v: Vhc) -> bool:

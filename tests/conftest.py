@@ -24,6 +24,7 @@ from hookcomb.perm import (
     Permutation,
     Point,
     avoiders,
+    descent_bottoms,
     descent_tops,
     find_occurrence,
 )
@@ -73,7 +74,7 @@ def vhc_tallies_312(n: int) -> tuple[dict[int, int], dict[int, int]]:
     reduced: dict[int, int] = {}
     for pi in avoiders(n, PATTERN_312):
         for v in enumerate_vhcs(pi):
-            k = len(v.matching)
+            k = len(v.ne_set)
             total[k] = total.get(k, 0) + 1
             if is_reduced(v):
                 reduced[k] = reduced.get(k, 0) + 1
@@ -244,13 +245,21 @@ def _bruteforce_assignments(
             yield tuple(sorted(hooks))
 
 
-def validate_bruteforce(pi: Permutation, ne_indices: Iterable[int]) -> Vhc | None:
-    """Oracle for ``validate``: try every descent-top assignment and test
-    the hooks geometrically.  Intended for desk-scale inputs."""
-    ne = _checked_ne(pi, ne_indices)
-    for hooks in _bruteforce_assignments(pi, ne):
-        return Vhc(pi, ne, hooks)
-    return None
+def validate_bruteforce(
+    pi: Permutation, ne_indices: Iterable[int]
+) -> tuple[Hook, ...] | None:
+    """Oracle for ``validate`` and ``Vhc.matching``: try every descent-top
+    assignment, test the hooks geometrically and return the sorted hooks
+    of the valid one, or ``None``.  Intended for desk-scale inputs."""
+    return next(_bruteforce_assignments(pi, ne_indices), None)
+
+
+def is_reduced_by_matching(v: Vhc) -> bool:
+    """Oracle for ``is_reduced``: every plot point is an endpoint of a
+    hook of ``v.matching`` or a descent bottom."""
+    ends = {p.index for hook in v.matching for p in hook}
+    ends.update(p.index for p in descent_bottoms(v.pi))
+    return len(ends) == v.pi.n
 
 
 # --- map and order oracles ------------------------------------------------

@@ -106,7 +106,7 @@ def test_criterion_02_validator_oracle_equivalence():
                     checked += 1
                     if (fast is None) != (slow is None):
                         disagreements += 1
-                    elif fast is not None and fast.matching != slow.matching:
+                    elif fast is not None and fast.matching != slow:
                         disagreements += 1
         assert checked == 720 * 64
         assert disagreements == 0

@@ -150,15 +150,18 @@ class TestCount:
 
     @pytest.mark.parametrize(
         "argv,cap,cost",
-        [(["--pattern", "132", "--n", "1..13"], 12, "12 s at 13"),
-         (["--pattern", "312", "--n", "13", "--method", "enumerate"], 12, "12 s at 13"),
-         (["--pattern", "2413", "--n", "0..10", "--output", "csv"], 9, "33 s at 10"),
-         (["--pattern", "123", "--n", "501"], 500, "at n = 993")],
+        [(["--pattern", "132", "--n", "1..13"], 12, "9.4 s at 13"),
+         (["--pattern", "312", "--n", "13", "--method", "enumerate"], 12, "9.4 s at 13"),
+         (["--pattern", "2413", "--n", "0..10", "--output", "csv"], 9, "43 s at 10"),
+         (["--pattern", "213", "--n", "2001"], 2000, "1..4000 takes 15 s")],
     )
     def test_exhaustive_over_cap_fails_fast(self, argv, cap, cost):
         proc = run("count", *argv, check=False)
         assert proc.returncode == 2 and proc.stdout == ""
         assert f"capped at n <= {cap}" in proc.stderr and cost in proc.stderr
+
+    def test_length_2_cap_is_accepted(self):
+        assert run("count", "--pattern", "213", "--n", "2000").stdout == "1\n"
 
     def test_patterns_ending_in_their_maximum_search_one_size_down(self):
         """1324 counts search the 132-avoiders of size n - 1, so they are
@@ -246,7 +249,7 @@ class TestSequencesAndChecks:
     def test_conjectures_over_cap_fails_fast(self):
         proc = run("check", "--suite", "conjectures", "--nmax", "13", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "capped at n <= 12" in proc.stderr and "12 s at 13" in proc.stderr
+        assert "capped at n <= 12" in proc.stderr and "9.4 s at 13" in proc.stderr
 
     @pytest.mark.parametrize(
         "suite,nmax",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import comb
 
@@ -13,6 +14,7 @@ from .conftest import (
     _bruteforce_assignments,
     all_permutations,
     contains_pattern,
+    is_reduced_by_matching,
     perm,
     validate_bruteforce,
     vhc_tallies_312,
@@ -56,10 +58,18 @@ class TestValidate:
         assert v.to_json() == '{"perm":"3215647","ne":[4,5,7]}'
         assert Vhc.from_json(v.to_json()) == v
 
+    def test_configuration_is_its_ne_set(self):
+        """Two fields; equality and hashing follow them, and the matching
+        is derived."""
+        assert [f.name for f in dataclasses.fields(Vhc)] == ["pi", "ne_set"]
+        v = validate(perm("3215647"), {4, 5, 7})
+        w = Vhc(perm("3215647"), frozenset({4, 5, 7}))
+        assert v == w and hash(v) == hash(w) and v.matching == w.matching
+
 
 def agree_with_oracle(pi: Permutation, ne) -> bool:
     fast, slow = validate(pi, ne), validate_bruteforce(pi, ne)
-    return (fast and fast.matching) == (slow and slow.matching)
+    return (None if fast is None else fast.matching) == slow
 
 
 def agree_on_all_subsets(n: int) -> None:
@@ -72,10 +82,10 @@ def agree_on_all_subsets(n: int) -> None:
 class TestBruteforceOracle:
     def test_agrees_on_worked_configuration(self):
         pi = perm("3215647")
-        assert validate_bruteforce(pi, {4, 5, 7}) == validate(pi, {4, 5, 7})
+        assert validate_bruteforce(pi, {4, 5, 7}) == validate(pi, {4, 5, 7}).matching
 
     def test_agrees_on_no_descents(self):
-        assert validate_bruteforce(perm("1234"), set()).matching == ()
+        assert validate_bruteforce(perm("1234"), set()) == ()
 
     @pytest.mark.parametrize("n", range(6))
     def test_exhaustive_agreement_small(self, n):
@@ -108,6 +118,12 @@ class TestBruteforceOracle:
 class TestEnumerate:
     def test_identity_has_only_empty(self):
         assert ne_sets(enumerate_vhcs(perm("1234"))) == [()]
+
+    def test_long_identity_needs_no_recursion(self):
+        """The sweep keeps its own stack, so a size past Python's
+        recursion limit of 1000 is no different."""
+        pi = Permutation.identity(2000)
+        assert list(enumerate_vhcs(pi)) == [Vhc(pi, frozenset())]
 
     def test_2134(self):
         assert ne_sets(enumerate_vhcs(perm("2134"))) == [(3,), (4,)]
@@ -196,6 +212,15 @@ class TestReduction:
     def test_restrict_of_identity_empties(self):
         reduced, kept = restrict(validate(perm("12345"), set()))
         assert reduced.pi.n == 0 and kept == ()
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_is_reduced_matches_the_matching_rule(self, n):
+        """The NE set, descent tops and bottoms give the same verdict as
+        the hook endpoints of the drawn matching, on every configuration
+        of S_n."""
+        for pi in all_permutations(n):
+            for v in enumerate_vhcs(pi):
+                assert is_reduced(v) == is_reduced_by_matching(v), v.to_json()
 
     def test_reduced_count_av3(self):
         reduced = [
