@@ -37,7 +37,7 @@ from .maps import (
 from .motzkin import Interval, MotzkinPath, count_intervals, enumerate_intervals
 from .perm import PATTERN_312, Permutation
 from .render import render_path, render_vhc
-from .vhc import Vhc, validate
+from .vhc import Vhc
 from .walks import count_walks, vhc312_series
 
 _COMPACT = {"separators": (",", ":")}
@@ -180,10 +180,7 @@ def _cmd_map(args) -> int:
         _need(args, "perm", "ne")
         pi = Permutation.from_text(args.perm)
         ne = _parse_ne(args.ne)
-        v = validate(pi, ne)
-        if v is None:
-            raise ValueError(f"({args.perm}, {sorted(ne)}) is not a valid "
-                             f"hook configuration")
+        v = Vhc(pi, ne)
         audit_input = {"perm": str(pi), "ne": sorted(ne)}
         if name == "ll":
             interval = ll_map(v)

@@ -32,10 +32,10 @@ _EQ2_LIMIT = 11
 _TAMARI_LIMIT = 10
 #: largest n of an exhaustive count, and its cost, by the length of sigma'
 #: (``vhc._carrier_pattern``) clamped to 2..4; only length 3 runs ``_Guard3``
-_EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 2.7 s "
-                              "(213: 1.2 s), and 1..4000 takes 15 s"),
-                     3: (12, "2.5 s for 132 at n = 12 and 9.4 s at 13"),
-                     4: (9, "4.3 s for 4231 at n = 9 and 43 s at 10")}
+_EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 1.8 s "
+                              "(213: 0.6 s), and 1..4000 takes 11 s"),
+                     3: (12, "2.4 s for 132 at n = 12 and 8.2 s at 13"),
+                     4: (9, "3.4 s for 4231 at n = 9 and 31 s at 10")}
 _MIN_FIT_POINTS = 50
 
 _S3 = tuple(
@@ -116,8 +116,8 @@ def triangle(k_max: int) -> list[TriangleRow]:
     if k_max > _TRIANGLE_LIMIT:
         raise ValueError(
             f"triangle rows are capped at k <= {_TRIANGLE_LIMIT}: check --suite "
-            f"conjectures took 2.1 s over rows 1..40, and the rows with their "
-            f"Sturm checks 7.4 s over rows 1..50, on a 2-core Xeon"
+            f"conjectures took 2.5 s over rows 1..40, and the rows with their "
+            f"Sturm checks 9.6 s over rows 1..50, on a 2-core Xeon"
         )
     length = 3 * k_max - 1
     table = CountTable(_walk_counts(length, by_hooks=True))
@@ -155,7 +155,7 @@ def check_eq2(n_max: int = _EQ2_LIMIT,
         raise ValueError("n_max must be >= 0")
     if n_max > _EQ2_LIMIT:
         raise ValueError(f"exhaustive reduced counts capped at n <= {_EQ2_LIMIT}: "
-                         f"0.9 s at n = 11 and 4.0 s at 12 on a 2-core Xeon")
+                         f"0.7 s at n = 11 and 3.2 s at 12 on a 2-core Xeon")
     table = count_walks(max(n_max - 1, 0))
     report = []
     formula = {}
@@ -185,7 +185,7 @@ def check_tamari_image(n_max: int = _TAMARI_LIMIT) -> list[dict]:
         raise ValueError("n_max must be >= 1")
     if n_max > _TAMARI_LIMIT:
         raise ValueError(f"exhaustive image sweep capped at n <= {_TAMARI_LIMIT}: "
-                         f"1.5 s at n = 10 and 5.8 s at 11 on a 2-core Xeon")
+                         f"1.1 s at n = 10 and 3.1 s at 11 on a 2-core Xeon")
     report = []
     for n in range(1, n_max + 1):
         image = set()

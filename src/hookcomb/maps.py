@@ -25,9 +25,10 @@ The four families of maps implemented here:
   undoes by construction; ``phi`` further re-encodes an interval as a
   step-restricted pair of paths.
 
-Public functions check their permutation's pattern class and their
-configuration once; the slide loop and the stripe decomposition they share
-trust their input.
+Public functions check their permutation's pattern class once; a ``Vhc``
+is valid by construction, so no function here checks a configuration
+again.  The slide loop and the stripe decomposition they share trust their
+input, and so do the images they build.
 """
 
 from __future__ import annotations
@@ -64,30 +65,25 @@ def _require_avoiding(pi: Permutation, sigma: Permutation, op: str) -> None:
         )
 
 
-def _require_vhc(v: Vhc) -> None:
-    if validate(v.pi, v.ne_set) is None:
-        raise ValueError(f"not a valid hook configuration: {v.to_json()}")
-
-
 # --- sliding operators -----------------------------------------------------
 
 
-def _slide(pi: Permutation, height: int, below_first: bool) -> Permutation:
-    if not 1 <= height <= pi.n:
-        raise ValueError(f"height {height} out of range 1..{pi.n}")
-    m = pi.index_of(height)
-    head = pi.entries[: m - 1]
-    below = tuple(v for v in head if v < height)
-    above = tuple(v for v in head if v > height)
+def _slide(ent: tuple[int, ...], height: int, below_first: bool) -> tuple[int, ...]:
+    """The word ``ent`` slid at ``height``; raises ``ValueError`` when
+    ``height`` is not one of its values."""
+    m = ent.index(height)
+    below = tuple(v for v in ent[:m] if v < height)
+    above = tuple(v for v in ent[:m] if v > height)
     first, second = (below, above) if below_first else (above, below)
-    return Permutation(first + second + pi.entries[m - 1 :])
+    return first + second + ent[m:]
 
 
 def _slide_all(pi: Permutation, below_first: bool) -> Permutation:
     """Slide at every height, ``n`` first; the caller checks the class."""
-    for h in range(pi.n, 0, -1):
-        pi = _slide(pi, h, below_first)
-    return pi
+    ent = pi.entries
+    for h in range(len(ent), 0, -1):
+        ent = _slide(ent, h, below_first)
+    return Permutation._trusted(ent)
 
 
 def swl(tau: Permutation) -> Permutation:
@@ -114,12 +110,9 @@ def point_image(image: Permutation, p: Point) -> Point:
 
 
 def _nw_of(maxima: tuple[Point, ...], p: Point) -> Point:
-    for m in maxima:
-        if m.value >= p.value:
-            if m.index > p.index:  # cannot happen in a 312-avoider
-                raise AssertionError(f"representative {m} right of {p}")
-            return m
-    raise AssertionError(f"no representative for {p}")
+    """The first maximum at least as high as ``p``: in a 312-avoider it
+    is weakly left of ``p`` (the tests check every point for n <= 8)."""
+    return next(m for m in maxima if m.value >= p.value)
 
 
 def nw(pi: Permutation, p: Point) -> Point:
@@ -152,10 +145,6 @@ def _stripes(pi: Permutation) -> StripeDecomposition:
     groups: dict[Point, list[Point]] = {m: [] for m in maxima}
     for p in pi.points():
         groups[_nw_of(maxima, p)].append(p)
-    for m, members in groups.items():
-        values = [p.value for p in members]
-        if values != sorted(values, reverse=True):  # stripes descend
-            raise AssertionError(f"stripe of {m} not descending in {pi}")
     return StripeDecomposition(
         stripes=tuple(tuple(groups[m]) for m in maxima),
         representatives=maxima,  # maxima rise left to right
@@ -182,23 +171,20 @@ def w_map(v: Vhc) -> Vhc:
     representative of its slid image.  Distinct endpoints land in distinct
     stripes, so the transfer is injective.
     """
-    _require_vhc(v)
     _require_avoiding(v.pi, PATTERN_132, "w_map")
     return _w_map(v)
 
 
 def _w_map(v: Vhc) -> Vhc:
-    """``w_map`` of a valid configuration on a 132-avoider, unchecked."""
+    """``w_map`` of a configuration on a 132-avoider, unchecked; its
+    image is a configuration (the tests rebuild every image for n <= 8)."""
     tau = v.pi
     image = _slide_all(tau, below_first=True)
     maxima = ltr_extrema(image, "maxima")
     ne = frozenset(
         _nw_of(maxima, point_image(image, tau.point(i))).index for i in v.ne_set
     )
-    out = validate(image, ne)
-    if out is None:
-        raise AssertionError(f"transfer of {v.to_json()} failed validation")
-    return out
+    return Vhc._trusted(image, ne)
 
 
 @dataclass(frozen=True)
@@ -223,7 +209,6 @@ def w_map_left_inverse(w: Vhc) -> PullbackResult:
     original configuration, elsewhere the candidate may fail validation
     and is flagged instead of raising.
     """
-    _require_vhc(w)
     pi = w.pi
     _require_avoiding(pi, PATTERN_312, "w_map_left_inverse")
     tau = _slide_all(pi, below_first=False)
@@ -255,7 +240,6 @@ class LLFrame:
 
 
 def ll_frame(v: Vhc) -> LLFrame:
-    _require_vhc(v)
     if v.pi.n < 1:
         raise ValueError("frame needs a nonempty permutation")
     _require_avoiding(v.pi, PATTERN_312, "ll_frame")
@@ -265,9 +249,6 @@ def ll_frame(v: Vhc) -> LLFrame:
 def _ll_frame(v: Vhc) -> LLFrame:
     pi = v.pi
     maxima = tuple(reversed(ltr_extrema(pi, "maxima"))) + (Point(0, 0),)
-    n = pi.n
-    if maxima[0] != Point(n, n):
-        raise AssertionError(f"{pi} has a configuration but does not end at {n}")
     # every index and every value holds one point, so a gap is a difference
     right, left, below = maxima[:-2], maxima[1:-1], maxima[2:]
     return LLFrame(
@@ -333,10 +314,7 @@ def ll_inverse(interval: Interval) -> Vhc | None:
         else:
             entries.append(below.pop())
     ne = frozenset(n - i for i in lower_at if lower[i] == "U")
-    out = validate(Permutation(tuple(entries)), ne)
-    if out is None:
-        raise AssertionError(f"no configuration with code {interval.to_json()}")
-    return out
+    return Vhc._trusted(Permutation._trusted(tuple(entries)), ne)
 
 
 def phi(interval: Interval) -> tuple[MotzkinPath, MotzkinPath]:

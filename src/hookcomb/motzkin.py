@@ -34,11 +34,12 @@ from .walks import vhc312_series
 ORDERS = ("S", "C", "T")
 
 #: longest paths ``enumerate_intervals`` pairs, by order, and that
-#: ``count_intervals`` counts for S and T.  Listing every interval at the
-#: cap took 8.4 s for S at n = 11 (4.4 s to count; 7 times more per step:
-#: it compares all pairs), 3.8 s for C and 2.8 s for T at n = 13 (2.0 s to
-#: count T; 3 to 4 times more per step) on a 2-core Xeon with Python 3.11
-_INTERVAL_LIMIT = {"S": 11, "C": 13, "T": 13}
+#: ``count_intervals`` counts for S and T, with the cost at the cap; each
+#: step costs about 5 times more for S (it compares all pairs), 3 to 4
+#: times more for C and T
+_INTERVAL_LIMIT = {"S": (11, "listing takes 10 s at n = 11, counting 4.2 s"),
+                   "C": (13, "listing takes 4.9 s at n = 13"),
+                   "T": (13, "listing takes 3.8 s at n = 13, counting 1.9 s")}
 
 _DISPLACEMENT = {"U": 1, "E": 0, "D": -1}
 
@@ -238,7 +239,7 @@ def enumerate_intervals(order: str, n: int) -> Iterator[Interval]:
     """All order-related pairs of length-``n`` paths, lower path major,
     both components in the U < D < E lexicographic order.  A lower path
     meets only the paths of its own class (S has one class).  Lengths past
-    ``_INTERVAL_LIMIT[order]`` raise at the call, before any work."""
+    the cap in ``_INTERVAL_LIMIT`` raise at the call, before any work."""
     return _intervals(order, n, *_listed_comparison(order, n))
 
 
@@ -266,10 +267,11 @@ def count_intervals(order: str, n: int) -> int:
 def _listed_comparison(order: str, n: int):
     """``_comparison(order)``, refusing lengths past ``_INTERVAL_LIMIT``."""
     comparison = _comparison(order)
-    if n > _INTERVAL_LIMIT[order]:
+    cap, cost = _INTERVAL_LIMIT[order]
+    if n > cap:
         raise ValueError(
-            f"{order}-intervals of length {n} pair the M({n}) = "
-            f"{motzkin_number(n)} Motzkin paths; refusing n > {_INTERVAL_LIMIT[order]}"
+            f"{order}-intervals of length {n} pair the M({n}) = {motzkin_number(n)} "
+            f"Motzkin paths; refusing n > {cap}: {cost} on a 2-core Xeon"
         )
     return comparison
 

@@ -15,13 +15,14 @@ the balanced-parenthesis matching of the merged left-to-right listing of
 descent tops (as ``(``) and ``V`` (as ``)``), with the close listed before
 the open at a point playing both roles.  A close is allowed iff the closing
 point lies above every point from the hook's southwest end onward.  So a
-``Vhc`` stores only ``(pi, V)``: ``validate`` and ``enumerate_vhcs`` run
-this one sweep without drawing a hook, and the ``matching`` property draws
-them on demand.  The tests keep a geometric oracle that tries every
-assignment and draws the hooks.
+``Vhc`` stores only ``(pi, V)``: its constructor, ``validate`` and
+``enumerate_vhcs`` run this one sweep without drawing a hook, and the
+``matching`` property draws them on demand.  The tests keep a geometric
+oracle that tries every assignment and draws the hooks.
 
-``Vhc`` values are immutable; build them with ``validate`` (or the
-enumerator), not by hand.
+``Vhc`` values are immutable and valid by construction: ``Vhc(pi, V)``
+raises ``ValueError`` on a set that is no configuration, and ``validate``
+is the query that returns ``None`` instead.
 """
 
 from __future__ import annotations
@@ -40,19 +41,37 @@ class Hook(NamedTuple):
 
 @dataclass(frozen=True)
 class Vhc:
-    """A valid hook configuration ``(pi, V)``.
+    """A valid hook configuration ``(pi, V)``; construction raises
+    ``ValueError`` on any other set.
 
-    ``ne_set`` holds the northeast endpoints as indices into ``pi``.  It
+    ``ne_set`` holds the northeast endpoints as indices into ``pi`` (any
+    iterable of them on construction, stored as a frozenset).  It
     determines the configuration, so equality and hashing follow
     ``(pi, ne_set)`` alone, and ``matching`` derives the unique hook
     matching, sorted by southwest index:
 
-    >>> validate(Permutation.from_text("2134"), {3}).matching
+    >>> Vhc(Permutation.from_text("2134"), {3}).matching
     (Hook(sw=Point(index=1, value=2), ne=Point(index=3, value=3)),)
     """
 
     pi: Permutation
     ne_set: frozenset[int]
+
+    def __post_init__(self) -> None:
+        ne = _checked_ne(self.pi, self.ne_set)
+        object.__setattr__(self, "ne_set", ne)
+        if _matching(self.pi.entries, ne) is None:
+            raise ValueError(f"not a valid hook configuration: {self.to_json()}")
+
+    @classmethod
+    def _trusted(cls, pi: Permutation, ne_set: frozenset[int]) -> "Vhc":
+        """Wrap a configuration that the caller built valid, without the
+        check in ``__post_init__``.  For producers in the package only;
+        sets from outside go through ``Vhc(...)``."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "pi", pi)
+        object.__setattr__(v, "ne_set", ne_set)
+        return v
 
     @property
     def matching(self) -> tuple[Hook, ...]:
@@ -71,11 +90,7 @@ class Vhc:
                 and isinstance(data.get("ne"), list)):
             raise ValueError(f"expected a JSON object with a string \"perm\" "
                              f"and a list \"ne\": {text!r}")
-        pi = Permutation.from_text(data["perm"])
-        result = validate(pi, data["ne"])
-        if result is None:
-            raise ValueError(f"not a valid hook configuration: {text!r}")
-        return result
+        return cls(Permutation.from_text(data["perm"]), data["ne"])
 
 
 def _checked_ne(pi: Permutation, ne_indices: Iterable[int]) -> frozenset[int]:
@@ -109,10 +124,10 @@ def _matching(ent: tuple[int, ...], ne: frozenset[int]) -> list[tuple[int, int]]
 
 
 def validate(pi: Permutation, ne_indices: Iterable[int]) -> Vhc | None:
-    """The valid hook configuration with northeast endpoint set
-    ``ne_indices``, or ``None`` when ``_matching`` finds none."""
+    """``Vhc(pi, ne_indices)``, or ``None`` when the set is no
+    configuration; an index out of range still raises."""
     ne = _checked_ne(pi, ne_indices)
-    return None if _matching(pi.entries, ne) is None else Vhc(pi, ne)
+    return None if _matching(pi.entries, ne) is None else Vhc._trusted(pi, ne)
 
 
 def enumerate_vhcs(pi: Permutation) -> Iterator[Vhc]:
@@ -137,7 +152,7 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[Vhc]:
         if len(opened) > n - i:
             continue  # not enough points left to close the open hooks
         if i == n:
-            yield Vhc(pi, frozenset(ne))
+            yield Vhc._trusted(pi, frozenset(ne))
             continue
         top = (i,) if i + 1 < n and ent[i] > ent[i + 1] else ()
         stack.append((i + 1, opened + top, ne))
@@ -200,10 +215,7 @@ def restrict(v: Vhc) -> tuple[Vhc, tuple[int, ...]]:
     kept = sorted(_kept(v))
     values = [v.pi.value_at(i) for i in kept]
     ranks = {val: r + 1 for r, val in enumerate(sorted(values))}
-    sub = Permutation(tuple(ranks[val] for val in values))
+    sub = Permutation._trusted(tuple(ranks[val] for val in values))
     position = {old: new + 1 for new, old in enumerate(kept)}
     sub_ne = frozenset(position[i] for i in v.ne_set)
-    result = validate(sub, sub_ne)
-    if result is None or not is_reduced(result):
-        raise RuntimeError(f"restriction of {v.to_json()} is not reduced-valid")
-    return result, tuple(kept)
+    return Vhc._trusted(sub, sub_ne), tuple(kept)

@@ -76,8 +76,8 @@ ALLOWED_STEP_PAIRS = frozenset(
     [("D", "E"), ("D", "U"), ("E", "D"), ("E", "E"), ("E", "U"), ("U", "D")]
 )
 
-#: largest ``k_max`` that ``count_walks`` builds: about 15 s and 57 MB peak
-#: at the cap on a 2-core Xeon with Python 3.11 (0.5 s at 400, 6 s at 800)
+#: largest ``k_max`` that ``count_walks`` builds (its cost at the cap is in
+#: the refusal); 0.5 s at 400 and 6.3 s at 800 on a 2-core Xeon, Python 3.11
 _KMAX_LIMIT = 1000
 
 #: steps of growth a repack of the walk DP leaves room for; 16 to 64 timed
@@ -128,8 +128,9 @@ def count_walks(k_max: int) -> CountTable:
         raise ValueError("k_max must be >= 0")
     if k_max > _KMAX_LIMIT:
         raise ValueError(
-            f"a walk table of length {k_max + 1} (k = 0..{k_max}) is over "
-            f"the cap of {_KMAX_LIMIT + 1} (k <= {_KMAX_LIMIT})"
+            f"a walk table of length {k_max + 1} (k = 0..{k_max}) is over the "
+            f"cap of {_KMAX_LIMIT + 1} (k <= {_KMAX_LIMIT}): count_walks("
+            f"{_KMAX_LIMIT}) takes about 15 s and 61 MB peak on a 2-core Xeon"
         )
     return CountTable(_walk_counts(k_max))
 

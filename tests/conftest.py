@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import pytest
 
-from hookcomb.maps import _require_vhc, _slide, nw_inv
+from hookcomb.maps import _slide, nw_inv
 from hookcomb.motzkin import enumerate_paths
 from hookcomb.perm import (
     PATTERN_312,
@@ -268,13 +268,13 @@ def is_reduced_by_matching(v: Vhc) -> bool:
 def swl_at(pi: Permutation, height: int) -> Permutation:
     """Move the points southwest of the point at ``height`` left of the
     points northwest of it; everything from that point on is unchanged."""
-    return _slide(pi, height, below_first=True)
+    return Permutation(_slide(pi.entries, height, below_first=True))
 
 
 def swr_at(pi: Permutation, height: int) -> Permutation:
     """Mirror of ``swl_at``: southwest block moves right of the northwest
     block."""
-    return _slide(pi, height, below_first=False)
+    return Permutation(_slide(pi.entries, height, below_first=False))
 
 
 def pivot_points(v: Vhc, hook: Hook) -> tuple[Point, ...]:
@@ -284,7 +284,6 @@ def pivot_points(v: Vhc, hook: Hook) -> tuple[Point, ...]:
     a plot point that forms a 132 pattern with A and the rightmost stripe
     point of B, in that index order.
     """
-    _require_vhc(v)
     if hook not in v.matching:
         raise ValueError(f"{hook} is not a hook of {v.to_json()}")
     a = hook.sw

@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import pytest
 
 from hookcomb.experiments import (
     _EQ2_LIMIT,
     _EXHAUSTIVE_LIMIT,
+    _TAMARI_LIMIT,
     _TRIANGLE_LIMIT,
     AsymptoticFit,
     asymptotic_fit,
@@ -18,9 +20,10 @@ from hookcomb.experiments import (
     triangle,
     vhc_count_exhaustive,
 )
-
+from hookcomb.motzkin import _INTERVAL_LIMIT, enumerate_intervals
 from hookcomb.perm import PATTERN_312
 from hookcomb.vhc import is_reduced
+from hookcomb.walks import _KMAX_LIMIT, count_walks
 
 from .conftest import all_permutations, configurations_on_avoiders, perm, vhc_tallies_312
 
@@ -298,8 +301,8 @@ class TestTamariImage:
         assert all(entry["verdict"] == "holds" for entry in report)
 
     def test_enumerated_configurations_are_not_rechecked(self, monkeypatch):
-        """Every configuration is validated once (building its ``w_map``
-        image) and never pattern-guarded."""
+        """No configuration is validated again (``Vhc`` values are valid by
+        construction) or pattern-guarded."""
         import hookcomb.maps
 
         guards, validations = [], []
@@ -320,7 +323,7 @@ class TestTamariImage:
         )
         assert configurations == 1 + 1 + 2 + 5 + 14 + 43
         assert guards == []
-        assert len(validations) == configurations
+        assert validations == []
 
     def test_encoded_intervals_are_not_compared_again(self, monkeypatch):
         import hookcomb.motzkin
@@ -356,3 +359,23 @@ class TestFit:
     def test_window_guard(self):
         with pytest.raises(ValueError):
             asymptotic_fit(100, 120)
+
+
+@pytest.mark.parametrize("call,args", [
+    pytest.param(count_walks, (_KMAX_LIMIT + 1,), id="kmax"),
+    pytest.param(triangle, (_TRIANGLE_LIMIT + 1,), id="triangle"),
+    pytest.param(check_eq2, (_EQ2_LIMIT + 1,), id="eq2"),
+    pytest.param(check_tamari_image, (_TAMARI_LIMIT + 1,), id="tamari"),
+    *(pytest.param(vhc_count_exhaustive,
+                   (_EXHAUSTIVE_LIMIT[length][0] + 1, perm(text).entries),
+                   id=f"exhaustive-{text}")
+      for length, text in ((2, "213"), (3, "132"), (4, "4231"))),
+    *(pytest.param(enumerate_intervals, (order, _INTERVAL_LIMIT[order][0] + 1),
+                   id=f"intervals-{order}")
+      for order in "SCT"),
+])
+def test_every_cap_states_its_cost(call, args):
+    """One size past each cap is refused with a measured cost in seconds."""
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert re.search(r"\b\d+(\.\d+)? s\b", str(info.value)), str(info.value)

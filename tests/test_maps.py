@@ -25,7 +25,7 @@ from hookcomb.perm import (
     descent_tops,
     ltr_extrema,
 )
-from hookcomb.vhc import Hook, enumerate_vhcs, validate
+from hookcomb.vhc import Hook, Vhc, enumerate_vhcs, validate
 from hookcomb.walks import ALLOWED_STEP_PAIRS
 
 from .conftest import (
@@ -211,10 +211,20 @@ class TestNorthwest:
             for m in ltr_extrema(pi, "maxima"):
                 assert nw(pi, nw_inv(pi, m)) == m
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_representative_lies_weakly_northwest(self, n):
+        for pi in avoiders(n, PATTERN_312):
+            for p in pi.points():
+                m = nw(pi, p)
+                assert m.index <= p.index and m.value >= p.value, (pi, p)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_stripes_descend_and_stack(self, n):
         for pi in avoiders(n, PATTERN_312):
             s = stripes(pi)
+            for stripe in s.stripes:
+                values = [p.value for p in stripe]
+                assert values == sorted(values, reverse=True), (pi, stripe)
             tops = [stripe[0].value for stripe in s.stripes]
             assert tops == sorted(tops)
             for low, high in zip(s.stripes, s.stripes[1:]):
@@ -252,11 +262,12 @@ class TestTransfer:
         with pytest.raises(ValueError):
             w_map(v)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_injective_with_distinct_stripes(self, n):
         images = set()
         for v in all_vhcs(n, PATTERN_132):
             w = w_map(v)
+            assert Vhc(Permutation(w.pi.entries), w.ne_set) == w  # built unchecked
             assert len(w.ne_set) == len(v.ne_set)  # endpoints stay distinct
             key = (w.pi.entries, w.ne_set)
             assert key not in images
@@ -316,7 +327,9 @@ class TestIntervalCode:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_inverse_of_every_class_interval(self, n):
         for interval in enumerate_intervals("C", n - 1):
-            assert ll_map(ll_inverse(interval)) == interval
+            v = ll_inverse(interval)
+            assert Vhc(Permutation(v.pi.entries), v.ne_set) == v  # built unchecked
+            assert ll_map(v) == interval
 
     def test_inverse_of_paths_in_different_classes_is_none(self):
         interval = Interval(MotzkinPath("EE"), MotzkinPath("UD"), "S")

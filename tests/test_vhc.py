@@ -49,6 +49,15 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(perm("21"), {3})
 
+    def test_construction_checks_the_set(self):
+        """A hand-built ``Vhc`` is checked like ``validate``, but raises."""
+        with pytest.raises(ValueError, match="not a valid hook configuration"):
+            Vhc(perm("21"), frozenset({2}))
+        with pytest.raises(ValueError, match="out of range"):
+            Vhc(perm("21"), frozenset({3}))
+        with pytest.raises(ValueError, match="not a valid hook configuration"):
+            Vhc.from_json('{"perm":"21","ne":[2]}')
+
     def test_empty_permutation(self):
         v = validate(Permutation(()), set())
         assert v is not None and v.matching == ()
@@ -246,6 +255,7 @@ class TestReduction:
         for pi in avoiders(n, PATTERN_312):
             for v in enumerate_vhcs(pi):
                 reduced, kept = restrict(v)
+                assert Vhc(Permutation(reduced.pi.entries), reduced.ne_set) == reduced
                 assert is_reduced(reduced)
                 values = tuple(sorted(pi.value_at(i) for i in kept))
                 key = (reduced.pi.entries, tuple(sorted(reduced.ne_set)), values)
