@@ -4,12 +4,11 @@ orders, quarter-plane walk counts, and the bijections tying them together."""
 from .motzkin import Interval, MotzkinPath
 from .perm import Permutation, Point
 from .vhc import Hook, Vhc, enumerate_vhcs, validate
-from .walks import CountTable, count_walks
+from .walks import count_walks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CountTable",
     "Hook",
     "Interval",
     "MotzkinPath",

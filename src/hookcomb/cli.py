@@ -116,8 +116,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=("conjectures", "tamari", "eq2"))
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--kmax", type=int, default=3,
+                   help="triangle rows for conjectures and eq2 (default 3); "
+                        "tamari ignores it")
+    p.add_argument("--nmax", type=int, default=None,
+                   help="largest size: of the weak-order counts for conjectures "
+                        "(default 9), of the image sweep for tamari (default 6), "
+                        "of the reduced counts for eq2 (default 9)")
 
     p = sub.add_parser("fit", help="growth fit of the exact counts")
     p.add_argument("--window", default="200:400", help="n range, e.g. 200:400")
@@ -159,9 +164,9 @@ def _cmd_count(args) -> int:
 def _cmd_walks(args) -> int:
     table = count_walks(args.kmax)
     if args.output == "csv":
-        sys.stdout.write(table.to_csv())
+        _write(["k,value\n", *(f"{k},{value}\n" for k, value in enumerate(table))])
     else:
-        sys.stdout.write(table.to_json() + "\n")
+        sys.stdout.write(_jdump([str(value) for value in table]) + "\n")
     return 0
 
 

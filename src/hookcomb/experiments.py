@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .maps import _ll_frame, _ll_map, _w_map
 from .motzkin import enumerate_intervals
 from .perm import PATTERN_132, PATTERN_312, Permutation, bruhat_leq
 from .vhc import _carrier_pattern, carriers, enumerate_vhcs, is_reduced
-from .walks import CountTable, _hook_slot, _walk_counts, count_walks, vhc312_series
+from .walks import _hook_slot, _walk_counts, count_walks, vhc312_series
 
 _TRIANGLE_LIMIT = 40
 _EQ2_LIMIT = 11
@@ -77,10 +78,12 @@ def reduced_count(n: int) -> int:
     )
 
 
-def _alternating_sum(table: CountTable, n: int) -> int:
-    """``sum((-1)^i * w(n - 1 - i))`` over ``i = 0..n``, with ``w(-1) = 1``:
-    the reduced count at size ``n`` when ``table`` holds walk counts."""
-    return sum((-1) ** i * table.at(n - i - 1) for i in range(n + 1))
+def _reduced_series(walks: tuple[int, ...]) -> list[int]:
+    """``r(n) = sum((-1)^i * w(n - 1 - i))`` over ``i = 0..n``, with
+    ``w(-1) = 1``, for every ``n <= len(walks)``: the reduced counts when
+    ``walks`` holds walk counts.  One running series, ``r(0) = 1`` and
+    ``r(n) = w(n - 1) - r(n - 1)``."""
+    return list(accumulate(walks, lambda r, w: w - r, initial=1))
 
 
 # --- the coefficient triangle ----------------------------------------------
@@ -103,13 +106,13 @@ def triangle(k_max: int) -> list[TriangleRow]:
     and ``restrict`` keeps every hook, so the identity of ``check_eq2``
     refines by hook count: ``reduced(n, h) = sum((-1)^i * w(n-1-i, h))``
     with ``w(-1, 0) = 1``, ``w(k, h)`` counting closed walks with ``h``
-    y-raising steps.  With each such step weighted by ``Z = 2^b`` one
-    alternating sum holds every ``reduced(n, h)`` in its ``b``-bit slot
-    ``h`` (each is at most ``w(n-1, h) < Z``, since ``reduced(n) = w(n-1)
-    - reduced(n-1)``); entry ``i`` of row ``k`` is slot ``k`` at
-    ``n = 2k+i``.  Checked against exhaustive hook histograms for every
-    ``(n, h)`` with ``n <= 12``, and the diagonal against the 3-D Catalan
-    numbers through ``k = 40``.
+    y-raising steps.  With each such step weighted by ``Z = 2^b`` term
+    ``n`` of ``_reduced_series`` holds every ``reduced(n, h)`` in its
+    ``b``-bit slot ``h`` (each is at most ``w(n-1, h) < Z``, since
+    ``reduced(n) = w(n-1) - reduced(n-1)``); entry ``i`` of row ``k`` is
+    slot ``k`` at ``n = 2k+i``.  Checked against exhaustive hook histograms
+    for every ``(n, h)`` with ``n <= 12``, and the diagonal against the 3-D
+    Catalan numbers through ``k = 40``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -120,11 +123,10 @@ def triangle(k_max: int) -> list[TriangleRow]:
             f"Sturm checks 9.6 s over rows 1..50, on a 2-core Xeon"
         )
     length = 3 * k_max - 1
-    table = CountTable(_walk_counts(length, by_hooks=True))
+    reduced = _reduced_series(_walk_counts(length, by_hooks=True))
     return [
         TriangleRow(k, tuple(
-            _hook_slot(_alternating_sum(table, 2 * k + i), k, length)
-            for i in range(1, k + 1)
+            _hook_slot(reduced[2 * k + i], k, length) for i in range(1, k + 1)
         ))
         for k in range(1, k_max + 1)
     ]
@@ -140,34 +142,30 @@ def _entry(check: str, lhs, rhs, **extra) -> dict:
     return out
 
 
-def check_eq2(n_max: int = _EQ2_LIMIT,
-              rows: list[TriangleRow] | None = None) -> list[dict]:
+def check_eq2(n_max: int, rows: list[TriangleRow] | None = None) -> list[dict]:
     """Alternating-sum identity for reduced configuration counts.
 
     For each ``n <= n_max`` compares the exhaustive count of reduced
-    configurations on 312-avoiders with ``sum((-1)^i * w(n - i - 1))``,
-    where ``w`` is the walk table extended by ``w(-1) = 1``.  When triangle
-    rows are supplied, additionally cross-checks that the row entries
-    grouped by size (the triangle read along ``n = 2k + i``) sum to the
-    same formula values.
+    configurations on 312-avoiders with term ``n`` of ``_reduced_series``
+    on the walk table, ``sum((-1)^i * w(n - i - 1))`` with ``w(-1) = 1``.
+    When triangle rows are supplied, additionally cross-checks that the
+    row entries grouped by size (the triangle read along ``n = 2k + i``)
+    sum to the same formula values.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > _EQ2_LIMIT:
         raise ValueError(f"exhaustive reduced counts capped at n <= {_EQ2_LIMIT}: "
                          f"0.7 s at n = 11 and 3.2 s at 12 on a 2-core Xeon")
-    table = count_walks(max(n_max - 1, 0))
-    report = []
-    formula = {}
-    for n in range(n_max + 1):
-        rhs = _alternating_sum(table, n)
-        formula[n] = rhs
-        report.append(_entry("eq2", reduced_count(n), rhs, n=n))
+    formula = _reduced_series(count_walks(max(n_max - 1, 0)))
+    report = [
+        _entry("eq2", reduced_count(n), formula[n], n=n) for n in range(n_max + 1)
+    ]
     if rows:
         # the triangle grouped by size n = 2k + i must reproduce the formula,
         # but only where every contributing row has been computed
         k_have = {row.k for row in rows}
-        for n in sorted(formula):
+        for n in range(n_max + 1):
             ks = [k for k in range(1, n) if 2 * k + 1 <= n <= 3 * k]
             if not ks or not set(ks) <= k_have:
                 continue
@@ -178,7 +176,7 @@ def check_eq2(n_max: int = _EQ2_LIMIT,
     return report
 
 
-def check_tamari_image(n_max: int = _TAMARI_LIMIT) -> list[dict]:
+def check_tamari_image(n_max: int) -> list[dict]:
     """The transferred-then-encoded configurations on 132-avoiders hit
     exactly the lng-order intervals one size down, bijectively."""
     if n_max < 1:
@@ -216,9 +214,7 @@ def check_tamari_image(n_max: int = _TAMARI_LIMIT) -> list[dict]:
 
 
 def check_conjectures(
-    k_max: int = 4,
-    bruhat_n_max: int = 9,
-    rows: list[TriangleRow] | None = None,
+    k_max: int, bruhat_n_max: int, rows: list[TriangleRow] | None = None
 ) -> list[dict]:
     """Verdicts for the four open patterns in the data.
 
@@ -275,7 +271,7 @@ def check_conjectures(
         for sigma in _S3
         if sigma != PATTERN_312
     }
-    counts[PATTERN_312.entries] = list(vhc312_series(bruhat_n_max).values[1:])
+    counts[PATTERN_312.entries] = list(vhc312_series(bruhat_n_max)[1:])
     for sigma in _S3:
         for tau in _S3:
             if sigma == tau or not bruhat_leq(sigma, tau):
@@ -370,9 +366,7 @@ class AsymptoticFit:
 
 
 def asymptotic_fit(
-    n_lo: int = 200,
-    n_hi: int = 400,
-    counts: dict[int, int] | CountTable | None = None,
+    n_lo: int, n_hi: int, counts: dict[int, int] | tuple[int, ...] | None = None
 ) -> AsymptoticFit:
     """Fit the growth constant and polynomial correction of the exact
     312-avoiding configuration counts over ``n_lo..n_hi``.

@@ -24,7 +24,6 @@ The orders, each strictly finer than the previous:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
@@ -112,8 +111,6 @@ def lng_all(p: MotzkinPath) -> tuple[int, ...]:
             if h == 0:
                 out.append(offset + 1)
                 break
-        else:  # cannot happen on a genuine Motzkin path
-            raise AssertionError("unbalanced substring scan")
     return tuple(out)
 
 
@@ -198,13 +195,6 @@ class Interval:
         # U/D/E paths and an S/C/T order need no escaping
         return (f'{{"lower":"{self.lower.steps}","upper":"{self.upper.steps}",'
                 f'"order":"{self.order}"}}')
-
-    @classmethod
-    def from_json(cls, text: str) -> "Interval":
-        data = json.loads(text)
-        return cls(
-            MotzkinPath(data["lower"]), MotzkinPath(data["upper"]), data["order"]
-        )
 
 
 def enumerate_paths(n: int) -> Iterator[MotzkinPath]:

@@ -66,9 +66,6 @@ yields every term from a single difference-table pass:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 STEPS: tuple[tuple[int, int], ...] = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1))
 
 #: coordinatewise step pairs allowed in a restricted path pair
@@ -85,43 +82,7 @@ _KMAX_LIMIT = 1000
 _HEADROOM = 32
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """An exact integer sequence indexed from 0."""
-
-    values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int) -> int:
-        if k < 0:
-            raise IndexError("CountTable is indexed from 0")
-        return self.values[k]
-
-    def at(self, k: int) -> int:
-        """Value at ``k``, extended by the empty-walk convention at -1.
-
-        The alternating-sum identity for reduced configurations needs the
-        convention ``walk_count(-1) = 1``; it is exposed only here and never
-        stored at a negative index.
-        """
-        if k == -1:
-            return 1
-        if k < -1:
-            raise ValueError(f"index {k} below the -1 convention")
-        return self.values[k]
-
-    def to_csv(self) -> str:
-        lines = ["k,value"]
-        lines.extend(f"{k},{v}" for k, v in enumerate(self.values))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps([str(v) for v in self.values], separators=(",", ":"))
-
-
-def count_walks(k_max: int) -> CountTable:
+def count_walks(k_max: int) -> tuple[int, ...]:
     """Walk counts for lengths ``0..k_max`` by the packed DP.  Tables
     longer than ``_KMAX_LIMIT + 1`` are refused before any work."""
     if k_max < 0:
@@ -132,7 +93,7 @@ def count_walks(k_max: int) -> CountTable:
             f"cap of {_KMAX_LIMIT + 1} (k <= {_KMAX_LIMIT}): count_walks("
             f"{_KMAX_LIMIT}) takes about 15 s and 61 MB peak on a 2-core Xeon"
         )
-    return CountTable(_walk_counts(k_max))
+    return _walk_counts(k_max)
 
 
 def _walk_counts(k_max: int, by_hooks: bool = False) -> tuple[int, ...]:
@@ -195,7 +156,9 @@ def _hook_slot(value: int, h: int, k_max: int) -> int:
     return value >> bits * h & (1 << bits) - 1
 
 
-def vhc312_series(n_max: int, table: CountTable | None = None) -> CountTable:
+def vhc312_series(
+    n_max: int, table: tuple[int, ...] | None = None
+) -> tuple[int, ...]:
     """Hook-configuration counts over 312-avoiders for every size
     ``0..n_max``: 1 at ``n = 0``, then ``sum(C(n-1, k) * walk_count(k))``.
 
@@ -211,8 +174,8 @@ def vhc312_series(n_max: int, table: CountTable | None = None) -> CountTable:
     if table is None or len(table) < n_max:
         table = count_walks(max(n_max - 1, 0))
     values = [1]
-    row = list(table.values[:n_max])
+    row = list(table[:n_max])
     while row:
         values.append(row[0])
         row = [a + b for a, b in zip(row, row[1:])]
-    return CountTable(tuple(values))
+    return tuple(values)

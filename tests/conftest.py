@@ -142,6 +142,12 @@ def binomial_sum(walks, m: int) -> int:
     return sum(math.comb(m, k) * walks[k] for k in range(m + 1))
 
 
+def alternating_sum(walks, n: int) -> int:
+    """Oracle for the reduced series: ``sum((-1)^i * w(n - 1 - i))`` over
+    ``i = 0..n``, with ``w = walks`` extended by ``w(-1) = 1``."""
+    return sum((-1) ** i * (walks[n - 1 - i] if i < n else 1) for i in range(n + 1))
+
+
 # --- geometric oracle for vhc.validate -----------------------------------
 
 

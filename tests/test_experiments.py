@@ -10,6 +10,7 @@ from hookcomb.experiments import (
     _TAMARI_LIMIT,
     _TRIANGLE_LIMIT,
     AsymptoticFit,
+    _reduced_series,
     asymptotic_fit,
     catalan,
     check_conjectures,
@@ -23,9 +24,15 @@ from hookcomb.experiments import (
 from hookcomb.motzkin import _INTERVAL_LIMIT, enumerate_intervals
 from hookcomb.perm import PATTERN_312
 from hookcomb.vhc import is_reduced
-from hookcomb.walks import _KMAX_LIMIT, count_walks
+from hookcomb.walks import _KMAX_LIMIT, _hook_slot, _walk_counts, count_walks
 
-from .conftest import all_permutations, configurations_on_avoiders, perm, vhc_tallies_312
+from .conftest import (
+    all_permutations,
+    alternating_sum,
+    configurations_on_avoiders,
+    perm,
+    vhc_tallies_312,
+)
 
 
 def three_dimensional_catalan(k: int) -> int:
@@ -64,16 +71,12 @@ class TestTriangle:
         """reduced(n, h) = sum((-1)^i w(n-1-i, h)) for every n <= 12 and
         every h, read off the hook-weighted walk DP, equals the exhaustive
         histogram; the triangle rows are its band entries."""
-        from hookcomb.experiments import _alternating_sum
-        from hookcomb.walks import CountTable, _hook_slot, _walk_counts, count_walks
-
-        table = CountTable(_walk_counts(11, by_hooks=True))
-        plain = count_walks(11)
+        packed = _reduced_series(_walk_counts(11, by_hooks=True))
+        plain = _reduced_series(count_walks(11))
         rows = {row.k: row.entries for row in triangle(5)}
         for n in range(13):
-            packed = _alternating_sum(table, n)
-            derived = {h: _hook_slot(packed, h, 11) for h in range(n + 1)}
-            assert sum(derived.values()) == _alternating_sum(plain, n)
+            derived = {h: _hook_slot(packed[n], h, 11) for h in range(n + 1)}
+            assert sum(derived.values()) == plain[n]
             _, reduced = vhc_tallies_312(n)
             assert {h: c for h, c in derived.items() if c} == reduced, n
             for k, entries in rows.items():
@@ -98,6 +101,25 @@ class TestTriangle:
                 math.comb(n, 2 * k + i) * rows[k][i - 1] for i in range(1, k + 1)
             )
             assert total.get(k, 0) == expected
+
+
+class TestReducedSeries:
+    """The running series against the direct alternating sum."""
+
+    def test_matches_direct_sum_to_400(self):
+        walks = count_walks(399)
+        reduced = _reduced_series(walks)
+        assert len(reduced) == 401
+        assert reduced[0] == 1  # w(-1)
+        for n in range(401):
+            assert reduced[n] == alternating_sum(walks, n), n
+
+    def test_matches_direct_sum_hook_weighted_to_60(self):
+        walks = _walk_counts(59, by_hooks=True)
+        reduced = _reduced_series(walks)
+        assert len(reduced) == 61
+        for n in range(61):
+            assert reduced[n] == alternating_sum(walks, n), n
 
 
 class TestCarrierSweeps:
@@ -201,7 +223,7 @@ class TestConjectures:
 
     def test_kmax_past_the_cap_is_refused_by_the_triangle(self):
         with pytest.raises(ValueError, match=f"k <= {_TRIANGLE_LIMIT}: "):
-            check_conjectures(k_max=_TRIANGLE_LIMIT + 1)
+            check_conjectures(k_max=_TRIANGLE_LIMIT + 1, bruhat_n_max=9)
 
     def test_alternating_sum_row3(self):
         rows = triangle(3)

@@ -260,7 +260,6 @@ class TestEnumeration:
     def test_interval_json(self):
         iv = Interval(MotzkinPath("UDE"), MotzkinPath("UED"), "T")
         assert iv.to_json() == '{"lower":"UDE","upper":"UED","order":"T"}'
-        assert Interval.from_json(iv.to_json()) == iv
 
 
 class TestDyckPrefixOrder:

@@ -3,6 +3,8 @@ import itertools
 
 import pytest
 
+from hookcomb import cli
+from hookcomb.experiments import _reduced_series
 from hookcomb.walks import (
     ALLOWED_STEP_PAIRS,
     STEPS,
@@ -41,8 +43,10 @@ class TestWalkCounts:
     def test_first_values_against_product_oracle(self):
         # frozen from the 5^k filter
         assert [walks_by_product(k) for k in range(4)] == [1, 0, 1, 1]
-        table = count_walks(3)
-        assert table.values == (1, 0, 1, 1)
+        assert count_walks(3) == (1, 0, 1, 1)
+
+    def test_table_slices(self):
+        assert count_walks(5)[1:3] == (0, 1)
 
     @pytest.mark.parametrize("k", range(7))
     def test_dp_matches_product_oracle(self, k):
@@ -53,7 +57,7 @@ class TestWalkCounts:
             assert walk_table_small[k] == sum(1 for _ in enumerate_walks(k))
 
     def test_frozen_prefix(self, walk_table_small):
-        assert walk_table_small.values[:13] == (
+        assert walk_table_small[:13] == (
             1, 0, 1, 1, 3, 8, 19, 65, 177, 611, 1928, 6648, 22928,
         )
 
@@ -69,10 +73,10 @@ class TestWalkCounts:
     @pytest.mark.parametrize("k_max", range(81))
     def test_packed_dp_matches_dict_dp(self, k_max):
         # the pruning depends on k_max, so every table is its own case
-        assert count_walks(k_max).values == dict_walk_counts(k_max)
+        assert count_walks(k_max) == dict_walk_counts(k_max)
 
     def test_packed_dp_matches_dict_dp_at_200(self):
-        assert count_walks(200).values == dict_walk_counts(200)
+        assert count_walks(200) == dict_walk_counts(200)
 
     def test_shorter_tables_are_prefixes_to_150(self):
         # each k_max prunes and widens its slots on its own schedule
@@ -80,9 +84,11 @@ class TestWalkCounts:
         for k_max in range(151):
             assert _walk_counts(k_max) == full[: k_max + 1], k_max
 
-    def test_frozen_digest_at_400(self):
+    def test_frozen_digest_at_400(self, capsys):
         # recorded from the fixed-width DP, whose slots were 929 bits throughout
-        digest = hashlib.sha256(count_walks(400).to_json().encode()).hexdigest()
+        assert cli.main(["walks", "--kmax", "400", "--output", "json"]) == 0
+        text = capsys.readouterr().out.removesuffix("\n")
+        digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == (
             "22ad07eb1b02c9d0ec1d88fd4d4dcd47296fb5e79a427cc7446fa0655eca8e3e"
         )
@@ -135,23 +141,21 @@ class TestEnumerate:
 
 
 class TestCountTable:
+    """The walk table at its edges: extended by ``w(-1) = 1`` in the
+    reduced series, and written by ``walks`` as CSV or JSON."""
+
     def test_convention_at_minus_one(self, walk_table_small):
-        assert walk_table_small.at(-1) == 1
-        assert walk_table_small.at(0) == 1
+        reduced = _reduced_series(walk_table_small)
+        assert reduced[0] == 1  # w(-1)
+        assert reduced[1] == walk_table_small[0] - 1 == 0
 
-    def test_below_convention_rejected(self, walk_table_small):
-        with pytest.raises(ValueError):
-            walk_table_small.at(-2)
+    def test_csv(self, capsys):
+        assert cli.main(["walks", "--kmax", "2"]) == 0
+        assert capsys.readouterr().out == "k,value\n0,1\n1,0\n2,1\n"
 
-    def test_negative_index_rejected(self, walk_table_small):
-        with pytest.raises(IndexError):
-            walk_table_small[-1]
-
-    def test_csv(self):
-        assert count_walks(2).to_csv() == "k,value\n0,1\n1,0\n2,1\n"
-
-    def test_json_uses_decimal_strings(self):
-        assert count_walks(2).to_json() == '["1","0","1"]'
+    def test_json_uses_decimal_strings(self, capsys):
+        assert cli.main(["walks", "--kmax", "2", "--output", "json"]) == 0
+        assert capsys.readouterr().out == '["1","0","1"]\n'
 
 
 class TestPairCounts:
@@ -184,13 +188,8 @@ class TestVhc312Count:
         assert vhc312_series(4)[4] == 5
 
     def test_frozen_series(self, walk_table_small):
-        got = list(vhc312_series(9, walk_table_small).values[1:])
-        assert got == [1, 1, 2, 5, 14, 44, 148, 528, 1972]
-
-    def test_requires_positive_n(self):
-        # sizes start at 0: the series refuses a negative index
-        with pytest.raises(IndexError):
-            vhc312_series(4)[-1]
+        got = vhc312_series(9, walk_table_small)[1:]
+        assert got == (1, 1, 2, 5, 14, 44, 148, 528, 1972)
 
 
 class TestVhc312Series:
@@ -203,13 +202,13 @@ class TestVhc312Series:
             assert series[n] == binomial_sum(table, n - 1), f"n={n}"
 
     def test_builds_its_own_table(self):
-        assert vhc312_series(9).values == (1, 1, 1, 2, 5, 14, 44, 148, 528, 1972)
+        assert vhc312_series(9) == (1, 1, 1, 2, 5, 14, 44, 148, 528, 1972)
 
     def test_short_table_is_rebuilt(self):
         assert vhc312_series(9, count_walks(3)) == vhc312_series(9)
 
     def test_empty_permutation_only(self):
-        assert vhc312_series(0).values == (1,)
+        assert vhc312_series(0) == (1,)
 
     def test_single_values_read_the_series(self, walk_table_small):
         series = vhc312_series(17, walk_table_small)
