@@ -42,6 +42,9 @@ from .walks import count_walks, vhc312_series
 
 _COMPACT = {"separators": (",", ":")}
 
+#: ``check --nmax`` when it is not given, by suite
+_CHECK_NMAX = {"conjectures": 9, "tamari": 6, "eq2": 9}
+
 
 def _jdump(obj) -> str:
     return json.dumps(obj, **_COMPACT)
@@ -114,15 +117,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=("conjectures", "tamari", "eq2"))
+    p.add_argument("--suite", required=True, choices=tuple(_CHECK_NMAX))
     p.add_argument("--kmax", type=int, default=3,
                    help="triangle rows for conjectures and eq2 (default 3); "
                         "tamari ignores it")
     p.add_argument("--nmax", type=int, default=None,
                    help="largest size: of the weak-order counts for conjectures "
-                        "(default 9), of the image sweep for tamari (default 6), "
-                        "of the reduced counts for eq2 (default 9)")
+                        "(default {conjectures}), of the image sweep for tamari "
+                        "(default {tamari}), of the reduced counts for eq2 "
+                        "(default {eq2})".format(**_CHECK_NMAX))
 
     p = sub.add_parser("fit", help="growth fit of the exact counts")
     p.add_argument("--window", default="200:400", help="n range, e.g. 200:400")
@@ -268,15 +271,13 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    nmax = _CHECK_NMAX[args.suite] if args.nmax is None else args.nmax
     if args.suite == "conjectures":
-        nmax = 9 if args.nmax is None else args.nmax
         report = check_conjectures(k_max=args.kmax, bruhat_n_max=nmax)
     elif args.suite == "tamari":
-        nmax = 6 if args.nmax is None else args.nmax
         report = check_tamari_image(n_max=nmax)
     else:
-        nmax = 9 if args.nmax is None else args.nmax
-        report = check_eq2(n_max=nmax, rows=triangle(args.kmax))
+        report = check_eq2(n_max=nmax, k_max=args.kmax)
     _write(_jdump(entry) + "\n" for entry in report)
     return 0
 

@@ -142,37 +142,34 @@ def _entry(check: str, lhs, rhs, **extra) -> dict:
     return out
 
 
-def check_eq2(n_max: int, rows: list[TriangleRow] | None = None) -> list[dict]:
+def check_eq2(n_max: int, k_max: int) -> list[dict]:
     """Alternating-sum identity for reduced configuration counts.
 
     For each ``n <= n_max`` compares the exhaustive count of reduced
     configurations on 312-avoiders with term ``n`` of ``_reduced_series``
     on the walk table, ``sum((-1)^i * w(n - i - 1))`` with ``w(-1) = 1``.
-    When triangle rows are supplied, additionally cross-checks that the
-    row entries grouped by size (the triangle read along ``n = 2k + i``)
-    sum to the same formula values.
+    Then cross-checks that the entries of triangle rows ``1..k_max``
+    grouped by size (the triangle read along ``n = 2k + i``) sum to the
+    same formula values.  Both caps are checked before any work.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > _EQ2_LIMIT:
         raise ValueError(f"exhaustive reduced counts capped at n <= {_EQ2_LIMIT}: "
                          f"0.7 s at n = 11 and 3.2 s at 12 on a 2-core Xeon")
+    rows = triangle(k_max)
     formula = _reduced_series(count_walks(max(n_max - 1, 0)))
     report = [
         _entry("eq2", reduced_count(n), formula[n], n=n) for n in range(n_max + 1)
     ]
-    if rows:
-        # the triangle grouped by size n = 2k + i must reproduce the formula,
-        # but only where every contributing row has been computed
-        k_have = {row.k for row in rows}
-        for n in range(n_max + 1):
-            ks = [k for k in range(1, n) if 2 * k + 1 <= n <= 3 * k]
-            if not ks or not set(ks) <= k_have:
-                continue
-            by_size = sum(
-                row.entries[n - 2 * row.k - 1] for row in rows if row.k in ks
-            )
-            report.append(_entry("eq2_triangle", by_size, formula[n], n=n))
+    # the triangle grouped by size n = 2k + i must reproduce the formula,
+    # but only where every contributing row has been computed
+    for n in range(n_max + 1):
+        ks = [k for k in range(1, n) if 2 * k + 1 <= n <= 3 * k]
+        if not ks or ks[-1] > k_max:
+            continue
+        by_size = sum(rows[k - 1].entries[n - 2 * k - 1] for k in ks)
+        report.append(_entry("eq2_triangle", by_size, formula[n], n=n))
     return report
 
 
@@ -213,9 +210,7 @@ def check_tamari_image(n_max: int) -> list[dict]:
 # --- conjectures -----------------------------------------------------------
 
 
-def check_conjectures(
-    k_max: int, bruhat_n_max: int, rows: list[TriangleRow] | None = None
-) -> list[dict]:
+def check_conjectures(k_max: int, bruhat_n_max: int) -> list[dict]:
     """Verdicts for the four open patterns in the data.
 
     1. The last entry of row ``k`` equals ``2 (3k)! / (k! (k+1)! (k+2)!)``.
@@ -233,10 +228,8 @@ def check_conjectures(
         raise ValueError("bruhat_n_max must be >= 1")
     for sigma in _S3:
         _check_exhaustive(bruhat_n_max, sigma)
-    if rows is None:
-        rows = triangle(k_max)
     report = []
-    for row in rows:
+    for row in triangle(k_max):
         k = row.k
         three_dim_catalan = (
             2 * math.factorial(3 * k)

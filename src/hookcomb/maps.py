@@ -49,7 +49,7 @@ from .perm import (
     Permutation,
     Point,
     find_occurrence,
-    ltr_extrema,
+    ltr_maxima,
 )
 from .vhc import Vhc, validate
 from .walks import ALLOWED_STEP_PAIRS
@@ -120,41 +120,28 @@ def nw(pi: Permutation, p: Point) -> Point:
     _require_avoiding(pi, PATTERN_312, "nw")
     if pi.point(p.index) != p:
         raise ValueError(f"{p} is not a plot point of {pi}")
-    return _nw_of(ltr_extrema(pi, "maxima"), p)
+    return _nw_of(ltr_maxima(pi), p)
 
 
-@dataclass(frozen=True)
-class StripeDecomposition:
-    """Fibers of ``nw``, bottom stripe first, each descending left to right."""
-
-    stripes: tuple[tuple[Point, ...], ...]
-    representatives: tuple[Point, ...]
-
-    def rightmost(self) -> dict[Point, Point]:
-        """``nw_inv`` of each representative: the last point of its stripe."""
-        return {m: s[-1] for m, s in zip(self.representatives, self.stripes)}
-
-
-def stripes(pi: Permutation) -> StripeDecomposition:
+def stripes(pi: Permutation) -> tuple[tuple[Point, ...], ...]:
+    """Fibers of ``nw``, bottom stripe first, each descending left to right,
+    so a stripe's head is its maximum, its northwest representative."""
     _require_avoiding(pi, PATTERN_312, "stripes")
     return _stripes(pi)
 
 
-def _stripes(pi: Permutation) -> StripeDecomposition:
-    maxima = ltr_extrema(pi, "maxima")
+def _stripes(pi: Permutation) -> tuple[tuple[Point, ...], ...]:
+    maxima = ltr_maxima(pi)  # they rise left to right
     groups: dict[Point, list[Point]] = {m: [] for m in maxima}
     for p in pi.points():
         groups[_nw_of(maxima, p)].append(p)
-    return StripeDecomposition(
-        stripes=tuple(tuple(groups[m]) for m in maxima),
-        representatives=maxima,  # maxima rise left to right
-    )
+    return tuple(tuple(groups[m]) for m in maxima)
 
 
 def nw_inv(pi: Permutation, m: Point) -> Point:
     """Rightmost point of the stripe of a left-to-right maximum."""
     _require_avoiding(pi, PATTERN_312, "nw_inv")
-    rightmost = _stripes(pi).rightmost()
+    rightmost = {s[0]: s[-1] for s in _stripes(pi)}
     if m not in rightmost:
         raise ValueError(f"{m} is not a left-to-right maximum of {pi}")
     return rightmost[m]
@@ -180,7 +167,7 @@ def _w_map(v: Vhc) -> Vhc:
     image is a configuration (the tests rebuild every image for n <= 8)."""
     tau = v.pi
     image = _slide_all(tau, below_first=True)
-    maxima = ltr_extrema(image, "maxima")
+    maxima = ltr_maxima(image)
     ne = frozenset(
         _nw_of(maxima, point_image(image, tau.point(i))).index for i in v.ne_set
     )
@@ -212,7 +199,7 @@ def w_map_left_inverse(w: Vhc) -> PullbackResult:
     pi = w.pi
     _require_avoiding(pi, PATTERN_312, "w_map_left_inverse")
     tau = _slide_all(pi, below_first=False)
-    rightmost = _stripes(pi).rightmost()
+    rightmost = {s[0]: s[-1] for s in _stripes(pi)}
     ne = frozenset(point_image(tau, rightmost[pi.point(i)]).index for i in w.ne_set)
     return PullbackResult(tau, ne, validate(tau, ne))
 
@@ -248,7 +235,7 @@ def ll_frame(v: Vhc) -> LLFrame:
 
 def _ll_frame(v: Vhc) -> LLFrame:
     pi = v.pi
-    maxima = tuple(reversed(ltr_extrema(pi, "maxima"))) + (Point(0, 0),)
+    maxima = tuple(reversed(ltr_maxima(pi))) + (Point(0, 0),)
     # every index and every value holds one point, so a gap is a difference
     right, left, below = maxima[:-2], maxima[1:-1], maxima[2:]
     return LLFrame(

@@ -1,4 +1,4 @@
-"""Permutations in one-line notation: patterns, descents, extrema, weak order.
+"""Permutations in one-line notation: patterns, descents, maxima, weak order.
 
 Conventions used throughout the package:
 
@@ -288,23 +288,13 @@ def descent_tops(pi: Permutation) -> tuple[Point, ...]:
     return tuple(pi.point(i) for i in descents(pi))
 
 
-def descent_bottoms(pi: Permutation) -> tuple[Point, ...]:
-    """Descent-bottom points ``(i+1, p(i+1))``, paired with the tops."""
-    return tuple(pi.point(i + 1) for i in descents(pi))
-
-
-def ltr_extrema(pi: Permutation, kind: str = "maxima") -> tuple[Point, ...]:
-    """Left-to-right maxima or minima, in increasing index order.
-
-    A point is a left-to-right maximum (minimum) when no point to its left
-    is strictly higher (lower).
-    """
-    if kind not in ("maxima", "minima"):
-        raise ValueError(f"kind must be 'maxima' or 'minima', got {kind!r}")
+def ltr_maxima(pi: Permutation) -> tuple[Point, ...]:
+    """Left-to-right maxima, in increasing index order: the points with no
+    strictly higher point to their left."""
     out: list[Point] = []
-    best: int | None = None
+    best = 0
     for p in pi.points():
-        if best is None or (p.value > best if kind == "maxima" else p.value < best):
+        if p.value > best:
             out.append(p)
             best = p.value
     return tuple(out)

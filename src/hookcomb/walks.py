@@ -156,25 +156,21 @@ def _hook_slot(value: int, h: int, k_max: int) -> int:
     return value >> bits * h & (1 << bits) - 1
 
 
-def vhc312_series(
-    n_max: int, table: tuple[int, ...] | None = None
-) -> tuple[int, ...]:
+def vhc312_series(n_max: int) -> tuple[int, ...]:
     """Hook-configuration counts over 312-avoiders for every size
     ``0..n_max``: 1 at ``n = 0``, then ``sum(C(n-1, k) * walk_count(k))``.
 
-    ``table`` must reach ``n_max - 1`` or is rebuilt.  The binomial
-    transform comes from one difference-table pass: after ``m`` rounds of
-    ``row <- [a + b for a, b in zip(row, row[1:])]`` on the walk counts,
-    ``row[i] == sum(C(m, k) * walk_count(i + k))`` (Pascal's rule), so the
-    head of the row is the term ``n = m + 1``.  That is ``O(n_max^2)``
-    additions for the whole series and no binomial coefficient.
+    The binomial transform comes from one difference-table pass: after
+    ``m`` rounds of ``row <- [a + b for a, b in zip(row, row[1:])]`` on the
+    walk counts, ``row[i] == sum(C(m, k) * walk_count(i + k))`` (Pascal's
+    rule), so the head of the row is the term ``n = m + 1``.  That is
+    ``O(n_max^2)`` additions for the whole series and no binomial
+    coefficient.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if table is None or len(table) < n_max:
-        table = count_walks(max(n_max - 1, 0))
     values = [1]
-    row = list(table[:n_max])
+    row = list(count_walks(max(n_max - 1, 0))[:n_max])
     while row:
         values.append(row[0])
         row = [a + b for a, b in zip(row, row[1:])]

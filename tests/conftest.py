@@ -4,7 +4,8 @@ The brute-force helpers here are deliberately dumb: they filter full
 symmetric groups or full step products so that the package's pruned
 generators and dynamic programs have something independent to agree with.
 The geometric validator, the pattern test, the single-height slides, the
-pivot points and the Dyck-prefix order are oracles only, so they live here
+pivot points and the Dyck-prefix order are oracles only, and the descent
+bottoms and left-to-right minima are read only by tests, so they live here
 rather than in the package.
 """
 
@@ -24,8 +25,8 @@ from hookcomb.perm import (
     Permutation,
     Point,
     avoiders,
-    descent_bottoms,
     descent_tops,
+    descents,
     find_occurrence,
 )
 from hookcomb.vhc import Hook, Vhc, _checked_ne, enumerate_vhcs, is_reduced
@@ -258,6 +259,21 @@ def validate_bruteforce(
     assignment, test the hooks geometrically and return the sorted hooks
     of the valid one, or ``None``.  Intended for desk-scale inputs."""
     return next(_bruteforce_assignments(pi, ne_indices), None)
+
+
+def descent_bottoms(pi: Permutation) -> tuple[Point, ...]:
+    """Descent-bottom points ``(i+1, p(i+1))``, paired with the tops."""
+    return tuple(pi.point(i + 1) for i in descents(pi))
+
+
+def ltr_minima(pi: Permutation) -> tuple[Point, ...]:
+    """Left-to-right minima, in increasing index order: the points with no
+    strictly lower point to their left."""
+    out: list[Point] = []
+    for p in pi.points():
+        if not out or p.value < out[-1].value:
+            out.append(p)
+    return tuple(out)
 
 
 def is_reduced_by_matching(v: Vhc) -> bool:

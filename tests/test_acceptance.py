@@ -112,17 +112,17 @@ def test_criterion_02_validator_oracle_equivalence():
         assert disagreements == 0
 
 
-def test_criterion_03_count_composition(walk_table):
+def test_criterion_03_count_composition():
     """The binomial transform of the walk counts equals the exhaustive
     configuration count on 312-avoiders (n <= 9) and the class-order
     interval count one size down (n <= 8)."""
     with criterion(3, budget_seconds=300):
         for n in range(1, 10):
             exhaustive = sum(vhc_tallies_312(n)[0].values())
-            assert vhc312_series(n, walk_table)[n] == exhaustive, f"n={n}"
+            assert vhc312_series(n)[n] == exhaustive, f"n={n}"
         for n in range(1, 9):
             intervals = sum(1 for _ in enumerate_intervals("C", n - 1))
-            assert vhc312_series(n, walk_table)[n] == intervals, f"n={n}"
+            assert vhc312_series(n)[n] == intervals, f"n={n}"
 
 
 def test_criterion_04_phi_bijection(walk_table):
@@ -237,7 +237,7 @@ def test_criterion_08_reduced_alternating_identity():
     """Exhaustive reduced counts equal the alternating walk sums with the
     w(-1) = 1 convention, for every n <= 9."""
     with criterion(8, budget_seconds=600):
-        report = check_eq2(n_max=9, rows=triangle(4))
+        report = check_eq2(n_max=9, k_max=4)
         eq2 = [e for e in report if e["check"] == "eq2"]
         cross = [e for e in report if e["check"] == "eq2_triangle"]
         assert len(eq2) == 10
@@ -251,7 +251,7 @@ def test_criterion_09_asymptotic_fit():
     recovers (2, 0) to 1e-6.  The dynamic program to n = 400 runs inside
     the budget window."""
     with criterion(9, budget_seconds=1200):
-        series = vhc312_series(400, count_walks(399))
+        series = vhc312_series(400)
         counts = {n: series[n] for n in range(200, 401)}
         fit = asymptotic_fit(200, 400, counts=counts)
         assert abs(fit.growth_hat - 5.729) / 5.729 < 0.02, fit
@@ -266,7 +266,7 @@ def test_criterion_10_conjecture_verdicts_and_docs():
     """Conjectures 3 and 4 yield "holds" verdicts at desk scale without
     failing the process, and non-D-finiteness lives in documentation only."""
     with criterion(10, budget_seconds=1800):
-        report = check_conjectures(k_max=4, bruhat_n_max=9, rows=triangle(4))
+        report = check_conjectures(k_max=4, bruhat_n_max=9)
         c3 = [e for e in report if e["check"] == "conjecture3"]
         c4 = [e for e in report if e["check"] == "conjecture4"]
         assert len(c3) == 4 and all(e["verdict"] == "holds" for e in c3)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hookcomb.cli import main
+from hookcomb.cli import _CHECK_NMAX, main
 from hookcomb.motzkin import MotzkinPath, leq
 from hookcomb.walks import vhc312_series
 
@@ -237,7 +237,7 @@ class TestSequencesAndChecks:
         assert all(r["verdict"] == "holds" for r in rows)
 
     def test_check_tamari(self):
-        proc = run("check", "--suite", "tamari", "--nmax", "4")
+        proc = run("check", "--suite", "tamari", "--nmax", "5")
         rows = [json.loads(line) for line in proc.stdout.splitlines()]
         assert all(r["verdict"] == "holds" for r in rows)
 
@@ -247,6 +247,29 @@ class TestSequencesAndChecks:
         assert {r["check"] for r in rows} == {
             "conjecture1", "conjecture2", "conjecture3", "conjecture4",
         }
+        assert all(r["verdict"] == "holds" for r in rows)
+
+    @pytest.mark.parametrize("suite", ["tamari", "eq2"])
+    def test_check_nmax_default_is_the_table_value(self, capsys, suite):
+        assert main(["check", "--suite", suite]) == 0
+        default = capsys.readouterr().out
+        nmax = str(_CHECK_NMAX[suite])
+        assert main(["check", "--suite", suite, "--nmax", nmax]) == 0
+        assert capsys.readouterr().out == default != ""
+
+    def test_check_kmax_over_cap_fails_fast(self):
+        for suite in ("conjectures", "eq2"):
+            proc = run("check", "--suite", suite, "--kmax", "41", check=False)
+            assert proc.returncode == 2 and proc.stdout == "", suite
+            assert proc.stderr.startswith("hookcomb: ") and "k <= 40" in proc.stderr
+            assert len(proc.stderr.splitlines()) == 1
+
+    def test_fit_prints_one_json_line(self):
+        lines = run("fit", "--window", "50:110").stdout.splitlines()
+        assert len(lines) == 1
+        fit = json.loads(lines[0])
+        assert set(fit) == {"growth", "alpha", "window", "residual"}
+        assert fit["window"] == [50, 110]
 
     def test_conjectures_over_cap_fails_fast(self):
         proc = run("check", "--suite", "conjectures", "--nmax", "13", check=False)

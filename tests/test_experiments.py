@@ -177,7 +177,7 @@ class TestExhaustiveCaps:
 
 class TestEq2:
     def test_holds_exhaustively(self):
-        report = check_eq2(n_max=8, rows=triangle(2))
+        report = check_eq2(n_max=8, k_max=2)
         assert all(entry["verdict"] == "holds" for entry in report)
 
     def test_small_values(self):
@@ -185,7 +185,14 @@ class TestEq2:
 
     def test_budget_guard(self):
         with pytest.raises(ValueError, match=f"n <= {_EQ2_LIMIT}: "):
-            check_eq2(n_max=_EQ2_LIMIT + 1)
+            check_eq2(n_max=_EQ2_LIMIT + 1, k_max=2)
+
+    def test_refuses_before_the_triangle(self, monkeypatch):
+        import hookcomb.experiments
+
+        monkeypatch.setattr(hookcomb.experiments, "triangle", None)
+        with pytest.raises(ValueError, match=f"n <= {_EQ2_LIMIT}: "):
+            check_eq2(n_max=_EQ2_LIMIT + 1, k_max=2)
 
 
 class TestConjectures:
@@ -226,11 +233,10 @@ class TestConjectures:
             check_conjectures(k_max=_TRIANGLE_LIMIT + 1, bruhat_n_max=9)
 
     def test_alternating_sum_row3(self):
-        rows = triangle(3)
         assert 14 - 51 + 42 == 5 == catalan(3)
         entry = [
             e
-            for e in check_conjectures(k_max=3, bruhat_n_max=3, rows=rows)
+            for e in check_conjectures(k_max=3, bruhat_n_max=3)
             if e["check"] == "conjecture2" and e["k"] == 3
         ][0]
         assert entry["lhs"] == entry["rhs"] == "5"
@@ -386,7 +392,7 @@ class TestFit:
 @pytest.mark.parametrize("call,args", [
     pytest.param(count_walks, (_KMAX_LIMIT + 1,), id="kmax"),
     pytest.param(triangle, (_TRIANGLE_LIMIT + 1,), id="triangle"),
-    pytest.param(check_eq2, (_EQ2_LIMIT + 1,), id="eq2"),
+    pytest.param(check_eq2, (_EQ2_LIMIT + 1, 2), id="eq2"),
     pytest.param(check_tamari_image, (_TAMARI_LIMIT + 1,), id="tamari"),
     *(pytest.param(vhc_count_exhaustive,
                    (_EXHAUSTIVE_LIMIT[length][0] + 1, perm(text).entries),

@@ -23,7 +23,7 @@ from hookcomb.perm import (
     Point,
     avoiders,
     descent_tops,
-    ltr_extrema,
+    ltr_maxima,
 )
 from hookcomb.vhc import Hook, Vhc, enumerate_vhcs, validate
 from hookcomb.walks import ALLOWED_STEP_PAIRS
@@ -31,6 +31,7 @@ from hookcomb.walks import ALLOWED_STEP_PAIRS
 from .conftest import (
     contains_pattern,
     enumerate_restricted_pairs,
+    ltr_minima,
     perm,
     pivot_points,
     swl_at,
@@ -180,7 +181,7 @@ class TestNorthwest:
 
     def test_nw_fixes_maxima(self):
         pi = perm("2143")
-        for m in ltr_extrema(pi, "maxima"):
+        for m in ltr_maxima(pi):
             assert nw(pi, m) == m
 
     def test_nw_rejects_non_point(self):
@@ -193,8 +194,8 @@ class TestNorthwest:
 
     def test_stripes_2143(self):
         s = stripes(perm("2143"))
-        assert s.stripes == (((1, 2), (2, 1)), ((3, 4), (4, 3)))
-        assert s.representatives == ((1, 2), (3, 4))
+        assert s == (((1, 2), (2, 1)), ((3, 4), (4, 3)))
+        assert tuple(stripe[0] for stripe in s) == ((1, 2), (3, 4))
 
     def test_nw_inv_is_rightmost(self):
         pi = perm("2143")
@@ -208,7 +209,7 @@ class TestNorthwest:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_nw_of_nw_inv_round_trip(self, n):
         for pi in avoiders(n, PATTERN_312):
-            for m in ltr_extrema(pi, "maxima"):
+            for m in ltr_maxima(pi):
                 assert nw(pi, nw_inv(pi, m)) == m
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -222,12 +223,12 @@ class TestNorthwest:
     def test_stripes_descend_and_stack(self, n):
         for pi in avoiders(n, PATTERN_312):
             s = stripes(pi)
-            for stripe in s.stripes:
+            for stripe in s:
                 values = [p.value for p in stripe]
                 assert values == sorted(values, reverse=True), (pi, stripe)
-            tops = [stripe[0].value for stripe in s.stripes]
+            tops = [stripe[0].value for stripe in s]
             assert tops == sorted(tops)
-            for low, high in zip(s.stripes, s.stripes[1:]):
+            for low, high in zip(s, s[1:]):
                 assert max(p.value for p in low) < min(p.value for p in high)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -236,11 +237,11 @@ class TestNorthwest:
         left-to-right minima, and every higher stripe has exactly one
         non-minimum image, rightmost in its stripe."""
         for tau in avoiders(n, PATTERN_132):
-            minima = {p.value for p in ltr_extrema(tau, "minima")}
+            minima = {p.value for p in ltr_minima(tau)}
             decomposition = stripes(swl(tau))
-            bottom = decomposition.stripes[0]
+            bottom = decomposition[0]
             assert all(p.value in minima for p in bottom)
-            for stripe in decomposition.stripes[1:]:
+            for stripe in decomposition[1:]:
                 outsiders = [p for p in stripe if p.value not in minima]
                 assert len(outsiders) == 1
                 assert outsiders[0] == stripe[-1]

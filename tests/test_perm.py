@@ -10,14 +10,21 @@ from hookcomb.perm import (
     Permutation,
     avoiders,
     bruhat_leq,
-    descent_bottoms,
     descent_tops,
     find_occurrence,
     _Guard3,
-    ltr_extrema,
+    ltr_maxima,
 )
 
-from .conftest import all_permutations, brute_avoiders, catalan, contains_pattern, perm
+from .conftest import (
+    all_permutations,
+    brute_avoiders,
+    catalan,
+    contains_pattern,
+    descent_bottoms,
+    ltr_minima,
+    perm,
+)
 
 ALL_S3 = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
 
@@ -174,7 +181,7 @@ class TestDescentsAndExtrema:
             assert bottom.value < top.value
 
     def test_maxima_324156(self):
-        assert ltr_extrema(perm("324156"), "maxima") == (
+        assert ltr_maxima(perm("324156")) == (
             (1, 3),
             (3, 4),
             (5, 5),
@@ -183,14 +190,10 @@ class TestDescentsAndExtrema:
 
     def test_maxima_of_increasing_is_everything(self):
         pi = Permutation.identity(5)
-        assert ltr_extrema(pi, "maxima") == pi.points()
+        assert ltr_maxima(pi) == pi.points()
 
     def test_minima_2143(self):
-        assert ltr_extrema(perm("2143"), "minima") == ((1, 2), (2, 1))
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ltr_extrema(perm("1"), "suprema")
+        assert ltr_minima(perm("2143")) == ((1, 2), (2, 1))
 
 
 class TestWeakOrder:

@@ -187,15 +187,15 @@ class TestVhc312Count:
     def test_n4(self):
         assert vhc312_series(4)[4] == 5
 
-    def test_frozen_series(self, walk_table_small):
-        got = vhc312_series(9, walk_table_small)[1:]
+    def test_frozen_series(self):
+        got = vhc312_series(9)[1:]
         assert got == (1, 1, 2, 5, 14, 44, 148, 528, 1972)
 
 
 class TestVhc312Series:
     def test_difference_pass_equals_binomial_sums_to_150(self):
         table = count_walks(149)
-        series = vhc312_series(150, table)
+        series = vhc312_series(150)
         assert len(series) == 151
         assert series[0] == 1
         for n in range(1, 151):
@@ -204,16 +204,13 @@ class TestVhc312Series:
     def test_builds_its_own_table(self):
         assert vhc312_series(9) == (1, 1, 1, 2, 5, 14, 44, 148, 528, 1972)
 
-    def test_short_table_is_rebuilt(self):
-        assert vhc312_series(9, count_walks(3)) == vhc312_series(9)
-
     def test_empty_permutation_only(self):
         assert vhc312_series(0) == (1,)
 
-    def test_single_values_read_the_series(self, walk_table_small):
-        series = vhc312_series(17, walk_table_small)
+    def test_single_values_read_the_series(self):
+        series = vhc312_series(17)
         for n in range(1, 18):  # a shorter series is a prefix
-            assert vhc312_series(n, walk_table_small)[n] == series[n]
+            assert vhc312_series(n)[n] == series[n]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
