@@ -1,6 +1,8 @@
-"""The scripts under ``scripts/`` run against the package as it is."""
+"""The scripts under ``scripts/``, and the check run README gives in their
+place, run against the package as it is."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +24,23 @@ def test_make_figures_writes_svgs(tmp_path):
         "path_UDEUEUDD.svg", "vhc_3215647.svg", "vhc_324156.svg",
     ]
 
+
+
+def test_run_checks_all_hold():
+    """The three ``check`` commands README lists, at small sizes, report
+    every suite and every verdict holds."""
+    rows = []
+    for args in (["eq2", "--kmax", "2", "--nmax", "5"],
+                 ["tamari", "--nmax", "5"],
+                 ["conjectures", "--kmax", "2", "--nmax", "5"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hookcomb", "check", "--suite", *args],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows += [json.loads(line) for line in proc.stdout.splitlines()]
+    assert rows and all(r["verdict"] == "holds" for r in rows)
 
 @pytest.fixture
 def compare(monkeypatch):
