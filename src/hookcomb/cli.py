@@ -6,6 +6,9 @@ stream as JSON Lines or CSV with a header row.  Exit codes: 2 for a
 configuration error, 1 for an internal failure, 0 otherwise.  Check suites
 exit 0 even when a conjecture verdict is "fails" (verdicts live in the
 report, never in the exit status).
+
+Each command imports the functions it calls, so a command starts with only
+the modules it runs.
 """
 
 from __future__ import annotations
@@ -15,30 +18,6 @@ import json
 import sys
 from itertools import groupby
 from operator import attrgetter
-
-from .experiments import (
-    asymptotic_fit,
-    check_conjectures,
-    check_eq2,
-    check_tamari_image,
-    triangle,
-    vhc_count_exhaustive,
-)
-from .maps import (
-    ll_inverse,
-    ll_map,
-    phi,
-    phi_inverse,
-    swl,
-    swr,
-    w_map,
-    w_map_left_inverse,
-)
-from .motzkin import Interval, MotzkinPath, count_intervals, enumerate_intervals
-from .perm import PATTERN_312, Permutation
-from .render import render_path, render_vhc
-from .vhc import Vhc
-from .walks import count_walks, vhc312_series
 
 _COMPACT = {"separators": (",", ":")}
 
@@ -138,6 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
+    from .experiments import vhc_count_exhaustive
+    from .perm import PATTERN_312, Permutation
+    from .walks import vhc312_series
+
     lo, hi = _parse_range(args.n)
     pattern = Permutation.from_text(args.pattern)
     if args.method == "formula" and pattern != PATTERN_312:
@@ -165,6 +148,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_walks(args) -> int:
+    from .walks import count_walks
+
     table = count_walks(args.kmax)
     if args.output == "csv":
         _write(["k,value\n", *(f"{k},{value}\n" for k, value in enumerate(table))])
@@ -182,6 +167,20 @@ def _need(args, *names) -> None:
 
 
 def _cmd_map(args) -> int:
+    from .maps import (
+        ll_inverse,
+        ll_map,
+        phi,
+        phi_inverse,
+        swl,
+        swr,
+        w_map,
+        w_map_left_inverse,
+    )
+    from .motzkin import Interval, MotzkinPath
+    from .perm import Permutation
+    from .vhc import Vhc
+
     name = args.name
     audit_input: dict
     if name in ("ll", "w", "winv"):
@@ -239,6 +238,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_intervals(args) -> int:
+    from .motzkin import count_intervals, enumerate_intervals
+
     if args.n < 0:
         raise ValueError("--n must be >= 0")
     if args.count_only:
@@ -258,6 +259,8 @@ def _cmd_intervals(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
+    from .experiments import triangle
+
     rows = triangle(args.kmax)
     if args.output == "csv":
         _write(["k,i,n,value\n", *(
@@ -271,6 +274,8 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .experiments import check_conjectures, check_eq2, check_tamari_image
+
     nmax = _CHECK_NMAX[args.suite] if args.nmax is None else args.nmax
     if args.suite == "conjectures":
         report = check_conjectures(k_max=args.kmax, bruhat_n_max=nmax)
@@ -283,6 +288,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .experiments import asymptotic_fit
+
     lo, hi = _parse_range(args.window)
     fit = asymptotic_fit(lo, hi)
     sys.stdout.write(
@@ -300,6 +307,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .motzkin import MotzkinPath
+    from .render import render_path, render_vhc
+    from .vhc import Vhc
+
     if (args.vhc is None) == (args.path is None):
         raise ValueError("render needs exactly one of --vhc or --path")
     if args.vhc is not None:

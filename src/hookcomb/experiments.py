@@ -18,12 +18,10 @@ reader.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
-from .maps import _ll_frame, _ll_map, _w_map
-from .motzkin import enumerate_intervals
 from .perm import PATTERN_132, PATTERN_312, Permutation, bruhat_leq
 from .vhc import _carrier_pattern, carriers, enumerate_vhcs, is_reduced
 from .walks import _hook_slot, _walk_counts, count_walks, vhc312_series
@@ -89,8 +87,7 @@ def _reduced_series(walks: tuple[int, ...]) -> list[int]:
 # --- the coefficient triangle ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriangleRow:
+class TriangleRow(NamedTuple):
     """Row ``k``: reduced k-hook configuration counts on 312-avoiders of
     sizes ``2k+1 .. 3k`` (the only sizes where any exist)."""
 
@@ -176,6 +173,10 @@ def check_eq2(n_max: int, k_max: int) -> list[dict]:
 def check_tamari_image(n_max: int) -> list[dict]:
     """The transferred-then-encoded configurations on 132-avoiders hit
     exactly the lng-order intervals one size down, bijectively."""
+    # the only check that needs the maps, so the others never load them
+    from .maps import _ll_frame, _ll_map, _w_map
+    from .motzkin import enumerate_intervals
+
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > _TAMARI_LIMIT:
@@ -348,8 +349,7 @@ def real_rooted(coeffs: list[int]) -> bool:
 # --- asymptotic growth fit --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticFit:
+class AsymptoticFit(NamedTuple):
     """Least-squares fit of ``log f(n) ~ n log(growth) - alpha log n + c``."""
 
     growth_hat: float

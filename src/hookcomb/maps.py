@@ -33,7 +33,7 @@ input, and so do the images they build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .motzkin import (
     Interval,
@@ -174,8 +174,7 @@ def _w_map(v: Vhc) -> Vhc:
     return Vhc._trusted(image, ne)
 
 
-@dataclass(frozen=True)
-class PullbackResult:
+class PullbackResult(NamedTuple):
     """Candidate preimage under ``w_map``; ``vhc`` is ``None`` when the
     pulled-back endpoint set is not a valid configuration."""
 
@@ -207,8 +206,7 @@ def w_map_left_inverse(w: Vhc) -> PullbackResult:
 # --- interval codes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LLFrame:
+class LLFrame(NamedTuple):
     """Left-to-right maxima of a 312-avoider read right to left, with the
     gap counts between consecutive maxima.
 

@@ -24,10 +24,10 @@ The orders, each strictly finer than the previous:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
+from .frozen import Frozen
 from .walks import vhc312_series
 
 ORDERS = ("S", "C", "T")
@@ -51,8 +51,7 @@ def step_displacement(step: str) -> int:
         raise ValueError(f"not a Motzkin step: {step!r}") from None
 
 
-@dataclass(frozen=True)
-class MotzkinPath:
+class MotzkinPath(Frozen):
     """An immutable Motzkin path, stored as its step string.
 
     >>> MotzkinPath("UDEUEUDD").heights()
@@ -63,16 +62,18 @@ class MotzkinPath:
     ValueError: not a Motzkin step: 'X'
     """
 
+    __slots__ = ("steps",)
     steps: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: str) -> None:
         h = 0
-        for s in self.steps:
+        for s in steps:
             h += step_displacement(s)
             if h < 0:
-                raise ValueError(f"path dips below the axis: {self.steps!r}")
+                raise ValueError(f"path dips below the axis: {steps!r}")
         if h != 0:
-            raise ValueError(f"path does not return to the axis: {self.steps!r}")
+            raise ValueError(f"path does not return to the axis: {steps!r}")
+        object.__setattr__(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -169,26 +170,29 @@ def leq(order: str, p: MotzkinPath, q: MotzkinPath) -> bool:
     return same_class and all(a <= b for a, b in zip(statistic(p), statistic(q)))
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """An ordered related pair ``lower <= upper`` in one of the orders."""
 
+    __slots__ = ("lower", "upper", "order")
     lower: MotzkinPath
     upper: MotzkinPath
     order: str
 
-    def __post_init__(self) -> None:
-        if not leq(self.order, self.lower, self.upper):
-            raise ValueError(
-                f"({self.lower}, {self.upper}) is not a {self.order}-interval"
-            )
+    def __init__(self, lower: MotzkinPath, upper: MotzkinPath, order: str) -> None:
+        if not leq(order, lower, upper):
+            raise ValueError(f"({lower}, {upper}) is not a {order}-interval")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def _trusted(cls, lower: MotzkinPath, upper: MotzkinPath, order: str) -> "Interval":
         """A pair the caller has compared, without the check in
-        ``__post_init__``; pairs from outside go through ``Interval(...)``."""
+        ``__init__``; pairs from outside go through ``Interval(...)``."""
         interval = object.__new__(cls)
-        interval.__dict__.update(lower=lower, upper=upper, order=order)
+        object.__setattr__(interval, "lower", lower)
+        object.__setattr__(interval, "upper", upper)
+        object.__setattr__(interval, "order", order)
         return interval
 
     def to_json(self) -> str:

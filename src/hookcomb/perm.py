@@ -30,8 +30,9 @@ pure, so they are safe to call from concurrent workers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
+
+from .frozen import Frozen
 
 
 class Point(NamedTuple):
@@ -41,8 +42,7 @@ class Point(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation of ``1..n`` stored as a word in one-line notation.
 
     >>> Permutation((3, 2, 4, 1, 5, 6)).n
@@ -51,20 +51,22 @@ class Permutation:
     '324156'
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        n = len(entries)
         seen = bytearray(n + 1)
-        for v in self.entries:
+        for v in entries:
             if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
-                raise ValueError(f"not a permutation of 1..{n}: {self.entries!r}")
+                raise ValueError(f"not a permutation of 1..{n}: {entries!r}")
             seen[v] = 1
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
         """Wrap a word that the caller built as a permutation of ``1..n``,
-        without the check in ``__post_init__``.  For generators only; words
+        without the check in ``__init__``.  For generators only; words
         from outside go through ``Permutation(...)``."""
         pi = object.__new__(cls)
         object.__setattr__(pi, "entries", entries)

@@ -28,9 +28,9 @@ is the query that returns ``None`` instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+from .frozen import Frozen
 from .perm import Permutation, Point, avoiders, descents
 
 
@@ -39,8 +39,7 @@ class Hook(NamedTuple):
     ne: Point
 
 
-@dataclass(frozen=True)
-class Vhc:
+class Vhc(Frozen):
     """A valid hook configuration ``(pi, V)``; construction raises
     ``ValueError`` on any other set.
 
@@ -54,19 +53,21 @@ class Vhc:
     (Hook(sw=Point(index=1, value=2), ne=Point(index=3, value=3)),)
     """
 
+    __slots__ = ("pi", "ne_set")
     pi: Permutation
     ne_set: frozenset[int]
 
-    def __post_init__(self) -> None:
-        ne = _checked_ne(self.pi, self.ne_set)
+    def __init__(self, pi: Permutation, ne_set: Iterable[int]) -> None:
+        ne = _checked_ne(pi, ne_set)
+        object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "ne_set", ne)
-        if _matching(self.pi.entries, ne) is None:
+        if _matching(pi.entries, ne) is None:
             raise ValueError(f"not a valid hook configuration: {self.to_json()}")
 
     @classmethod
     def _trusted(cls, pi: Permutation, ne_set: frozenset[int]) -> "Vhc":
         """Wrap a configuration that the caller built valid, without the
-        check in ``__post_init__``.  For producers in the package only;
+        check in ``__init__``.  For producers in the package only;
         sets from outside go through ``Vhc(...)``."""
         v = object.__new__(cls)
         object.__setattr__(v, "pi", pi)

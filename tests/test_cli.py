@@ -1,8 +1,10 @@
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -384,3 +386,63 @@ class TestWrites:
         monkeypatch.setattr(sys, "stdout", out)
         assert main(argv) == 0
         assert out.writes == writes
+
+
+# Run in a fresh interpreter, since this process has every module loaded:
+# import the CLI, then run one command; print the hookcomb modules loaded
+# after each step, and whether dataclasses was loaded before and after.
+_LOADED_BY = """
+import contextlib, io, json, sys
+before = "dataclasses" in sys.modules
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "hookcomb")
+import hookcomb.cli
+steps = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hookcomb.cli.main(sys.argv[1:]) == 0
+steps.append(loaded())
+print(json.dumps([steps, before, "dataclasses" in sys.modules]))
+"""
+
+
+class TestStartup:
+    @pytest.mark.parametrize("argv, allowed, forbidden", [
+        (["walks", "--kmax", "3"], {"walks"}, None),
+        (["intervals", "--order", "T", "--n", "4", "--count-only"], None,
+         {"perm", "vhc", "maps", "experiments"}),
+        (["map", "--name", "phi", "--lower", "UDUD", "--upper", "UUDD"], None,
+         {"experiments", "render"}),
+        (["count", "--pattern", "132", "--n", "1..5", "--method", "enumerate"], None,
+         {"maps", "render"}),
+    ], ids=["walks", "intervals", "map", "count"])
+    def test_a_command_loads_only_its_layers(self, argv, allowed, forbidden):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_BY, *argv], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        (after_import, after_command), before, after = json.loads(proc.stdout)
+        assert after_import == ["hookcomb", "hookcomb.cli"]
+        submodules = {m.removeprefix("hookcomb.") for m in after_command} - {"hookcomb"}
+        if allowed is not None:
+            assert submodules == {"cli"} | allowed
+        if forbidden is not None:
+            assert not submodules & forbidden
+        assert after == before
+
+    def test_package_root_names_load_on_use(self):
+        import hookcomb
+        from hookcomb import (Hook, Interval, MotzkinPath, Permutation, Point, Vhc,
+                              count_walks, enumerate_vhcs, validate)
+        from hookcomb import motzkin, perm, vhc, walks
+
+        assert (Hook, Vhc, enumerate_vhcs, validate) == (
+            vhc.Hook, vhc.Vhc, vhc.enumerate_vhcs, vhc.validate)
+        assert (Interval, MotzkinPath) == (motzkin.Interval, motzkin.MotzkinPath)
+        assert (Permutation, Point, count_walks) == (perm.Permutation, perm.Point,
+                                                     walks.count_walks)
+        assert sorted(hookcomb.__all__) == sorted(
+            ["Hook", "Interval", "MotzkinPath", "Permutation", "Point", "Vhc",
+             "count_walks", "enumerate_vhcs", "validate", "__version__"])
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            hookcomb.missing
