@@ -10,45 +10,78 @@ like ``4.729^k`` and overflow 64 bits near ``k = 34``.  The dynamic program
 ``count_walks`` is the single source of truth; the tests cross-check it
 against a walk enumerator and a plain dict DP.
 
-The DP indexes a state ``(x, y)`` by its level ``u = x + y`` and by ``x``,
-so row ``u`` holds the ``u + 1`` states ``0 <= x <= u``.  In these
-coordinates one step reads
+The DP keeps one Python integer per row ``y``, the count of state
+``(x, y)`` in the slot of bits ``[x*W, (x+1)*W)``.  One step reads
 
-    new[u][x] = old[u+1][x] + old[u+1][x+1] + old[u][x+1] + old[u][x-1]
-                + old[u-1][x]
+    new[y][x] = old[y][x+1] + old[y-1][x+1] + old[y+1][x] + old[y-1][x]
+                + old[y+1][x-1]
 
-(the steps (0,-1), (-1,0), (-1,1), (1,-1) and (0,1), in that order).  Each
-row is packed into one Python integer, ``x`` in the slot of bits
-``[x*W, (x+1)*W)``.  No count at step ``t`` exceeds ``5^t``, and neither
-does any partial sum of the five terms, so while ``2^W > 5^t`` a slot
-never carries into the next one: a whole row updates with a few shifts,
-additions and one subtraction that clears the slot past its end, all in C.
-(A stored mask per row was no faster and kept a third copy of the table
-alive: 55 MB against 36 MB at k = 800.)
+(the steps (-1,0), (-1,1), (0,-1), (0,1) and (1,-1), in that order).  With
+``D[y] = old[y] + (old[y] << W)``, whose slot ``x`` is ``old[y][x] +
+old[y][x-1]``, that is
+
+    new[y] = D[y+1] + ((D[y-1] + old[y]) >> W),
+
+two big-int operations for ``D[y]`` and three for the row, all in C.  The
+layout by level ``u = x + y`` that this replaced took nine, among them a
+shift, a shift and a subtraction to clear the slot past the level's end.
+Here neither boundary costs an operation: ``x >= 0`` is the slot that falls
+off the right shift, and ``y >= 0`` is the end of the row list
+(``D[-1] = 0``).  No count at step ``t`` exceeds ``5^t``.  A slot of
+``D[y]`` holds two counts of step ``t - 1``, at most ``2 * 5^(t-1)``, and
+a slot of ``D[y-1] + old[y]`` at most ``3 * 5^(t-1) < 5^t``, so while
+``2^W > 5^t`` no slot carries into the next one.  Each row is rewritten in
+place as soon as its ``D`` is taken, so one table is alive, not two.
+
+The rows hold only states a walk can reach, with no code for it.  Only
+(1,-1) raises ``x``, and each (1,-1) or (0,-1) needs an earlier y-raising
+step, so after ``t`` steps ``x <= (t - y) / 2``: row ``y`` grows by one
+slot a step only through ``D[y+1]``, and a Python integer stores no slot
+past its top nonzero one.  A state with ``x + y`` above the steps left,
+``k_max - t``, cannot return to the origin, so from the middle on step
+``t`` keeps only the rows ``y <= k_max - t``, and every ``_TRIM`` steps
+masks each row to ``x <= k_max - t - y``.  The states left over between
+masks are counted but never reach the origin.  At ``k = 800`` a period of
+1 to 16 timed alike (2.9-3.3 s at best), and never masking was slower
+(4.5 s).
 
 The slot width grows with the step instead of being sized for ``5^k_max``
 from the start, since the counts of step ``t`` need only
 ``(5**t).bit_length()`` bits.  When step ``t`` needs more bits than the
-rows have, every live row is repacked once, through bytes, into slots of
-whole bytes wide enough for step ``t + _HEADROOM`` (or ``k_max``).  That
-is 12 repacks at ``k = 400`` and skips about half of the zero bits the
-fixed width added and shifted.  On a 2-core Xeon with Python 3.11,
-``count_walks(400)`` took 0.52 s against 0.67 s at the fixed width, and
-``count_walks(1000)`` 14.6 s against 23.3 s, with peak RSS 57 MB against
-63 MB.  The tables equal the fixed-width DP's for every ``k_max <= 150``,
-at 400 and at 1000, and the hook-weighted ones for every ``k_max <= 80``;
-the tests keep the prefix check to 150, the hook-slot sums to 80 and a
-digest of the table at 400.
+rows have, every row is repacked once, through bytes, into slots of whole
+bytes wide enough for step ``t + _HEADROOM`` (or ``k_max``); a row's slot
+count is its ``bit_length`` over the old width.  That is 12 repacks at
+``k = 400``.
 
 The same loop splits the counts by the number ``h`` of y-raising steps,
-(-1,1) and (0,1), the terms ``old[u][x+1]`` and ``old[u-1][x]``, when it
-weights each such step by ``Z = 2^b`` with ``b = (5**k_max).bit_length()``.
+(-1,1) and (0,1), when it weights each such step by ``Z = 2^b`` with ``b =
+(5**k_max).bit_length()``.  Both come from row ``y - 1``, at ``x + 1`` and
+``x``, which is slot ``x`` of ``D[y-1] >> W``, so
+
+    new[y] = D[y+1] + (old[y] >> W) + ((D[y-1] >> W) << b).
+
 A slot then holds a polynomial ``sum(c_h * Z^h)`` with ``h <= t`` at step
 ``t`` and every ``c_h`` and partial sum ``<= 5^t < Z``, so the slot stays
 below ``Z^(t+1)`` and ``W >= b * (t + 1)`` bits never carry; entry ``k``
-is ``sum(w(k, h) * Z^h)``.  Under the bijections of ``maps`` the hooks of
-a configuration are the y-raising steps of its walk, which is how
+is ``sum(w(k, h) * Z^h)``.  A slot of ``D[y-1]`` has degree ``<= t - 1``
+and coefficients ``<= 2 * 5^(t-1) < Z``, so it is below ``Z^t <=
+2^(W - b)``, and ``(D[y-1] >> W) << b`` equals the one shift ``D[y-1] >>
+(W - b)``, which the loop uses.  Under the bijections of ``maps`` the
+hooks of a configuration are the y-raising steps of its walk, which is how
 ``experiments.triangle`` reads it.
+
+On a 2-core Xeon with Python 3.11, in alternating fresh processes against
+the level layout, ``count_walks(400)`` took 0.21-0.39 s against 0.38-0.52
+s, ``count_walks(800)`` 3.1-4.0 s against 3.9-4.8 s, and
+``count_walks(1000)`` 8.0 s against 10.0-13.4 s, with a process peak RSS
+of 28 MB against 59 MB; ``_walk_counts(179, by_hooks=True)`` took 2.1-3.0
+s against 2.4-3.2 s.  The tables equal the level layout's for every
+``k_max <= 150``, at 299, 400, 800 and 1000, and the hook-weighted ones
+for every ``k_max <= 60``, at 119 and at 179.  The tests keep the dict-DP
+equality to 80 and at 200, the prefix check to 150, the hook split against
+a dict DP to 40, the hook-slot sums to 80, and the digests of ``walks
+--kmax 400``, ``count --pattern 312 --n 1..300`` and ``fit --window
+200:400``.
 
 The plain table feeds one binomial transform, ``vhc312_series``, which
 yields every term from a single difference-table pass:
@@ -74,12 +107,17 @@ ALLOWED_STEP_PAIRS = frozenset(
 )
 
 #: largest ``k_max`` that ``count_walks`` builds (its cost at the cap is in
-#: the refusal); 0.5 s at 400 and 6.3 s at 800 on a 2-core Xeon, Python 3.11
+#: the refusal); 0.3 s at 400 and 3.1 s at 800 on a 2-core Xeon, Python 3.11
 _KMAX_LIMIT = 1000
 
 #: steps of growth a repack of the walk DP leaves room for; 16 to 64 timed
-#: alike at k = 300, 400 and 800, 8 and below repack too often
+#: alike at k = 300, 400 and 800 (2.9-3.1 s at best at 800), 8 and below
+#: repack too often (3.4 and 3.7 s)
 _HEADROOM = 32
+
+#: steps between the masks that cut each row to the states that can still
+#: return to the origin (see the module docstring for the timings)
+_TRIM = 8
 
 
 def count_walks(k_max: int) -> tuple[int, ...]:
@@ -91,17 +129,17 @@ def count_walks(k_max: int) -> tuple[int, ...]:
         raise ValueError(
             f"a walk table of length {k_max + 1} (k = 0..{k_max}) is over the "
             f"cap of {_KMAX_LIMIT + 1} (k <= {_KMAX_LIMIT}): count_walks("
-            f"{_KMAX_LIMIT}) takes about 15 s and 61 MB peak on a 2-core Xeon"
+            f"{_KMAX_LIMIT}) takes about 8 s and 29 MB peak on a 2-core Xeon"
         )
     return _walk_counts(k_max)
 
 
 def _walk_counts(k_max: int, by_hooks: bool = False) -> tuple[int, ...]:
-    """The packed DP; with ``by_hooks`` each y-raising step is weighted by
-    ``Z = 2^b`` and ``_hook_slot`` reads ``w(k, h)`` off entry ``k``.  A
-    state with ``x + y`` above the steps left cannot return to the origin,
-    so step ``t`` keeps the rows ``u <= min(t, k_max - t)``; row 0 is the
-    origin alone."""
+    """The packed DP over rows ``y``; with ``by_hooks`` each y-raising step
+    is weighted by ``Z = 2^b`` and ``_hook_slot`` reads ``w(k, h)`` off
+    entry ``k``.  Step ``t`` keeps the rows ``y <= min(t, k_max - t)``, and
+    past the middle masks every ``_TRIM``-th step each row to
+    ``x + y <= k_max - t``; entry ``t`` is slot 0 of row 0, the origin."""
     bits = (5**k_max).bit_length()
 
     def need(t: int) -> int:  # slot bits that step t's counts need
@@ -114,34 +152,37 @@ def _walk_counts(k_max: int, by_hooks: bool = False) -> tuple[int, ...]:
     for t in range(1, k_max + 1):
         if need(t) > width:
             wider = -(-need(min(t + _HEADROOM, k_max)) // 8) * 8
-            rows = [_repack(row, u + 1, width, wider) for u, row in enumerate(rows)]
+            for y, row in enumerate(rows):
+                rows[y] = _repack(row, width, wider)
             width = wider
         budget = min(t, k_max - t)
-        padded = [0, *rows, 0, 0]  # padded[u + 1] is row u
-        rows = []
-        for u, down, cur, up in zip(
-            range(budget + 1), padded, padded[1:], padded[2:]
-        ):
-            # old[u+1][x] + old[u][x-1], with a stray slot u + 1 to clear
-            low = up + (cur << width)
-            top = width * (u + 1)
-            low -= low >> top << top
-            # The hook-weighted line with a shift of 0 gives the same counts
-            # but was slower in alternating runs: count_walks(400) 0.50 s
-            # against 0.42 s, count_walks(800) 7.2 s against 5.3 s.
-            if by_hooks:  # old[u][x+1] and old[u-1][x] raise y
-                rows.append(low + (up >> width) + ((cur >> width) + down << bits))
-            else:  # old[u+1][x+1] + old[u][x+1] is one shift of the slotwise sum
-                rows.append(low + ((up + cur) >> width) + down)
-        values[t] = rows[0]
+        lift = width - bits  # (D >> W) << b as one shift, in hook mode
+        # Row y is rewritten in place once D[y] = old[y] + (old[y] << W),
+        # slot x old[y][x] + old[y][x-1], is taken, so one table is alive.
+        rows += (0, 0)  # two empty rows past the top, the last read as D[y+1]
+        down, cur = 0, rows[0]  # D[y-1] and old[y]
+        here = cur + (cur << width)  # D[y]
+        for y in range(budget + 1):
+            above = rows[y + 1]
+            up = above + (above << width)  # D[y+1]
+            if by_hooks:
+                rows[y] = up + (cur >> width) + (down >> lift)
+            else:
+                rows[y] = up + ((down + cur) >> width)
+            down, cur, here = here, above, up
+        del rows[budget + 1 :]
+        if budget < t and t % _TRIM == 0:  # x <= budget - y, slots 0..budget - y
+            for y, row in enumerate(rows):
+                rows[y] = row & (1 << width * (budget + 1 - y)) - 1
+        values[t] = rows[0] & (1 << width) - 1
     return tuple(values)
 
 
-def _repack(row: int, slots: int, width: int, wider: int) -> int:
-    """``row``'s ``slots`` slots of ``width`` bits moved into slots of
-    ``wider`` bits; both widths are whole bytes."""
+def _repack(row: int, width: int, wider: int) -> int:
+    """``row``'s slots of ``width`` bits moved into slots of ``wider`` bits;
+    both widths are whole bytes."""
     size = width // 8
-    data = row.to_bytes(slots * size, "little")
+    data = row.to_bytes(-(-row.bit_length() // width) * size, "little")
     pad = bytes((wider - width) // 8)
     return int.from_bytes(
         pad.join(data[i : i + size] for i in range(0, len(data), size)), "little"

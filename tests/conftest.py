@@ -128,6 +128,27 @@ def dict_walk_counts(k_max: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def dict_hook_walk_counts(k_max: int) -> tuple[tuple[int, ...], ...]:
+    """Oracle for ``_walk_counts(k_max, by_hooks=True)``: the dict DP of
+    ``dict_walk_counts`` over states ``(x, y, h)``, ``h`` the y-raising
+    steps (-1,1) and (0,1) taken so far.  Entry ``k`` lists ``w(k, h)`` for
+    ``h = 0..k``."""
+    values = [(1,)] + [(0,) * (k + 1) for k in range(1, k_max + 1)]
+    grid: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
+    for t in range(1, k_max + 1):
+        budget = min(t, k_max - t)
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (x, y, h), c in grid.items():
+            for dx, dy in STEPS:
+                nx, ny = x + dx, y + dy
+                if nx >= 0 and ny >= 0 and nx + ny <= budget:
+                    key = (nx, ny, h + (dy == 1))
+                    nxt[key] = nxt.get(key, 0) + c
+        grid = nxt
+        values[t] = tuple(grid.get((0, 0, h), 0) for h in range(t + 1))
+    return tuple(values)
+
+
 def enumerate_restricted_pairs(n: int):
     """Oracle for ``count_pairs``: all pairs of length-``n`` Motzkin paths
     with allowed coordinatewise steps, by filtering the full product."""

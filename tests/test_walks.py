@@ -17,6 +17,7 @@ from hookcomb.walks import (
 
 from .conftest import (
     binomial_sum,
+    dict_hook_walk_counts,
     dict_walk_counts,
     enumerate_restricted_pairs,
     enumerate_walks,
@@ -93,6 +94,26 @@ class TestWalkCounts:
             "22ad07eb1b02c9d0ec1d88fd4d4dcd47296fb5e79a427cc7446fa0655eca8e3e"
         )
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["count", "--pattern", "312", "--n", "1..300", "--output", "csv"],
+                "27a16066c55d00a35f2364682877ed38719607036ada2f0837199c867518dfee",
+            ),
+            (
+                ["fit", "--window", "200:400"],
+                "644f40040271861b9a2026ec6572e9bbbbe1747526ed68aaa618097d62f9b17c",
+            ),
+        ],
+        ids=["count-312-to-300", "fit-200-400"],
+    )
+    def test_frozen_digest_of_series_output(self, capsys, argv, digest):
+        # recorded from the level-layout DP, one big integer per x + y
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
     def test_over_cap_refused(self):
         assert _KMAX_LIMIT > 400
         with pytest.raises(ValueError) as info:
@@ -115,6 +136,14 @@ class TestHookWeightedWalks:
             sliced = {h: _hook_slot(values[k], h, 10) for h in range(k + 1)}
             assert {h: c for h, c in sliced.items() if c} == histogram, k
             assert values[k] >> (5**10).bit_length() * (k + 1) == 0  # no slot past k
+
+    @pytest.mark.parametrize("k_max", range(41))
+    def test_every_slot_matches_dict_dp(self, k_max):
+        # the trim and repack schedules depend on k_max, and start past 10
+        values = _walk_counts(k_max, by_hooks=True)
+        for k, split in enumerate(dict_hook_walk_counts(k_max)):
+            assert tuple(_hook_slot(values[k], h, k_max) for h in range(k + 1)) == split
+            assert values[k] >> (5**k_max).bit_length() * (k + 1) == 0, k
 
     def test_slots_sum_to_plain_counts_to_80(self):
         # the slot width grows by b = (5**80).bit_length() bits a step here
