@@ -3,14 +3,17 @@
 
 Usage: python3 scripts/bench_pair.py --base REF --out BENCH_name.json [--trace]
 
-Run it from the repository root.  The base side is the committed files of
-``REF``, unpacked with ``git archive`` into a temporary directory (so no
-worktree is registered in the repository); the change side is the working
-tree.  Both sides run their own ``perfbench/run.py`` with BENCHMARK.json's
-``run_seconds``; every file under ``perfbench/`` and BENCHMARK.json itself
-must be byte-identical between the sides, since ``perfbench/reference.json``
-decides which outputs are correct.  Every workload in BENCHMARK.json gets
-10 pairs; pair ``i`` uses seed ``701 + i`` on both sides, and the side that
+Run it from the repository root.  Both sides are unpacked the same way,
+with ``git archive``, into sibling temporary directories (so no worktree
+is registered in the repository): the base side from the tree of ``REF``,
+the change side from a snapshot of the working tree.  The snapshot is a
+tree written through a scratch index, so it holds tracked edits and
+untracked files that are not ignored, and the repository's own index is
+left as it is.  Both sides run their own ``perfbench/run.py`` with
+BENCHMARK.json's ``run_seconds``; ``perfbench/`` and BENCHMARK.json must
+be the same in both trees, since ``perfbench/reference.json`` decides
+which outputs are correct.  Every workload in BENCHMARK.json gets 10
+pairs; pair ``i`` uses seed ``701 + i`` on both sides, and the side that
 runs first alternates from pair to pair.  ``--trace`` adds one traced run
 per side and workload, for the per-layer metrics.
 
@@ -19,13 +22,14 @@ each side's runs, median and quartiles, the ratio of medians (change over
 base), the pairs the change won (ties count for neither side), and whether
 the gain rule holds: at least nine tenths of the pairs won and the medians
 apart by more than the base's interquartile range.  It also records the
-host (nproc, CPU model, Python, from ``run.py``'s run record) and both
-commits.
+host (nproc, CPU model, Python, from ``run.py``'s run record), the base
+commit and both trees, and the commit checked out (``head``).
 """
 
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,29 +42,27 @@ PAIRS = 10
 FIRST_SEED = 701
 
 
-def git(*args: str) -> str:
+def git(*args: str, env: dict | None = None) -> str:
     return subprocess.run(
-        ["git", *args], capture_output=True, text=True, check=True
+        ["git", *args], capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
 
 
-def unpack(commit: str, into: Path) -> None:
+def snapshot() -> str:
+    """The working tree as a tree id: tracked edits and untracked files
+    that are not ignored, added to a scratch index, not the repository's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        git("add", "--all", env=env)
+        return git("write-tree", env=env)
+
+
+def unpack(tree: str, into: Path) -> None:
     data = subprocess.run(
-        ["git", "archive", "--format=tar", commit], capture_output=True, check=True
+        ["git", "archive", "--format=tar", tree], capture_output=True, check=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(into, filter="data")
-
-
-def same_benchmark(base: Path) -> bool:
-    """Whether the files of perfbench/ and BENCHMARK.json in the unpacked
-    ``base`` match the working tree's (tracked or not, less ignored ones)."""
-    files = set(git("ls-files", "--cached", "--others", "--exclude-standard",
-                    "perfbench", "BENCHMARK.json").splitlines())
-    if files != {str(p.relative_to(base)) for p in base.glob("perfbench/**/*")
-                 if p.is_file()} | {"BENCHMARK.json"}:
-        return False
-    return all((base / f).read_bytes() == Path(f).read_bytes() for f in files)
 
 
 def run(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -115,18 +117,21 @@ def main() -> int:
     report = {
         "host": None,
         "base_commit": git("rev-parse", args.base),
-        "change_commit": git("rev-parse", "HEAD"),
-        "change_has_uncommitted_edits": bool(git("status", "--porcelain")),
+        "base_tree": git("rev-parse", f"{args.base}^{{tree}}"),
+        "change_tree": snapshot(),
+        "head": git("rev-parse", "HEAD"),
         "seconds": SPEC["run_seconds"],
         "workloads": {},
     }
+    if subprocess.run(["git", "diff", "--quiet", report["base_tree"],
+                       report["change_tree"], "--", "perfbench", "BENCHMARK.json"]
+                      ).returncode != 0:
+        raise SystemExit("perfbench/ or BENCHMARK.json differ between the sides")
     better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
-        base_root = Path(tmp)
-        unpack(report["base_commit"], base_root)
-        if not same_benchmark(base_root):
-            raise SystemExit("perfbench/ or BENCHMARK.json differ between the sides")
-        sides = {"base": base_root, "change": Path.cwd()}
+        sides = {side: Path(tmp) / side for side in ("base", "change")}
+        for side in sides:
+            unpack(report[f"{side}_tree"], sides[side])
         for workload in (w["name"] for w in SPEC["workloads"]):
             runs = {"base": [], "change": []}
             for i in range(PAIRS):

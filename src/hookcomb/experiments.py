@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, permutations
 from typing import NamedTuple
 
 from .perm import PATTERN_132, PATTERN_312, Permutation, bruhat_leq
@@ -30,17 +30,15 @@ _TRIANGLE_LIMIT = 40
 _EQ2_LIMIT = 11
 _TAMARI_LIMIT = 10
 #: largest n of an exhaustive count, and its cost, by the length of sigma'
-#: (``vhc._carrier_pattern``) clamped to 2..4; only length 3 runs ``_Guard3``
+#: (``vhc._carrier_pattern``) clamped to 2..4; length 3 runs ``perm._guard3``
+#: and length 4 ``perm._guard_generic``
 _EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 1.8 s "
                               "(213: 0.6 s), and 1..4000 takes 11 s"),
                      3: (12, "2.4 s for 132 at n = 12 and 8.2 s at 13"),
                      4: (9, "3.4 s for 4231 at n = 9 and 31 s at 10")}
 _MIN_FIT_POINTS = 50
 
-_S3 = tuple(
-    Permutation(p)
-    for p in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
-)
+_S3 = tuple(Permutation(p) for p in permutations((1, 2, 3)))
 
 
 def catalan(m: int) -> int:

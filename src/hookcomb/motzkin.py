@@ -234,7 +234,13 @@ def enumerate_intervals(order: str, n: int) -> Iterator[Interval]:
     both components in the U < D < E lexicographic order.  A lower path
     meets only the paths of its own class (S has one class).  Lengths past
     the cap in ``_INTERVAL_LIMIT`` raise at the call, before any work."""
-    return _intervals(order, n, *_listed_comparison(order, n))
+    keyed, by_class, guard = _packed_paths(order, n)
+    trusted = Interval._trusted
+    return (
+        trusted(lower, upper, order)
+        for cls, low, lower in keyed
+        for upper in [q for high, q in by_class[cls] if (high - low) & guard == guard]
+    )
 
 
 def count_intervals(order: str, n: int) -> int:
@@ -251,29 +257,17 @@ def count_intervals(order: str, n: int) -> int:
         if n < 0:
             raise ValueError("n must be >= 0")
         return vhc312_series(n + 1)[n + 1]
-    keyed, by_class, guard = _packed_paths(n, *_listed_comparison(order, n))
+    keyed, by_class, guard = _packed_paths(order, n)
     return sum(
         sum([(high - low) & guard == guard for high, _ in by_class[cls]])
         for cls, low, _ in keyed
     )
 
 
-def _listed_comparison(order: str, n: int):
-    """``_comparison(order)``, refusing lengths past ``_INTERVAL_LIMIT``."""
-    comparison = _comparison(order)
-    cap, cost = _INTERVAL_LIMIT[order]
-    if n > cap:
-        raise ValueError(
-            f"{order}-intervals of length {n} pair the M({n}) = {motzkin_number(n)} "
-            f"Motzkin paths; refusing n > {cap}: {cost} on a 2-core Xeon"
-        )
-    return comparison
-
-
-def _packed_paths(n: int, class_of, statistic):
+def _packed_paths(order: str, n: int):
     """The length-``n`` paths as ``(class, packed statistic, path)``, the
     same paths by class as ``(packed statistic | guard, path)``, and the
-    guard mask.
+    guard mask, under ``order``'s ``_comparison`` and ``_INTERVAL_LIMIT``.
 
     Each statistic value (at most ``n``) gets a slot of
     ``(n + 1).bit_length() + 1`` bits whose top bit is a guard.
@@ -281,6 +275,13 @@ def _packed_paths(n: int, class_of, statistic):
     past a slot's guard, and that guard stays set iff the slot's ``lower``
     value is at most its ``upper`` one.  So ``lower <= upper`` in every
     slot iff ``((upper | guard) - lower) & guard == guard``."""
+    class_of, statistic = _comparison(order)
+    cap, cost = _INTERVAL_LIMIT[order]
+    if n > cap:
+        raise ValueError(
+            f"{order}-intervals of length {n} pair the M({n}) = {motzkin_number(n)} "
+            f"Motzkin paths; refusing n > {cap}: {cost} on a 2-core Xeon"
+        )
     width = (n + 1).bit_length() + 1
     guard = sum(1 << width * i + width - 1 for i in range(n))
     keyed = []
@@ -293,14 +294,6 @@ def _packed_paths(n: int, class_of, statistic):
         keyed.append((cls, packed, p))
         by_class.setdefault(cls, []).append((packed | guard, p))
     return keyed, by_class, guard
-
-
-def _intervals(order, n, class_of, statistic) -> Iterator[Interval]:
-    keyed, by_class, guard = _packed_paths(n, class_of, statistic)
-    trusted = Interval._trusted
-    for cls, low, lower in keyed:
-        for upper in [q for high, q in by_class[cls] if (high - low) & guard == guard]:
-            yield trusted(lower, upper, order)
 
 
 def motzkin_number(n: int) -> int:

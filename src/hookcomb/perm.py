@@ -30,7 +30,7 @@ pure, so they are safe to call from concurrent workers.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .frozen import Frozen
 
@@ -175,13 +175,13 @@ def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
     creates no occurrence: the appended run is monotone the wrong way to
     supply the last two letters, and an occurrence with one appended letter
     is excluded by the condition.  A candidate is accepted iff the prefix
-    grown by it keeps the condition (``_Guard3``), so every visited prefix
+    grown by it keeps the condition (``_guard3``), so every visited prefix
     reaches a leaf.  Checked against the filter-all oracle for every
     pattern in S3 and every ``n <= 6`` in the tests, and against the
     earlier per-pattern guards for ``n <= 11`` (and ``n = 12`` for 312).
     A length-2 pattern leaves one word, the monotone one with no pair in
     its order: decreasing for 12, increasing for 21.  Other lengths use
-    ``_GuardGeneric``, which only rejects candidates completing an
+    ``_guard_generic``, which only rejects candidates completing an
     occurrence and may visit dead-end prefixes.
     """
     if n < 0:
@@ -199,9 +199,9 @@ def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
     used = bytearray(n + 1)
     prefix: list[int] = []
     if sigma.n == 3:
-        allows = _Guard3(sigma.entries, used).allows
+        allows = _guard3(sigma.entries, used)
     else:
-        allows = _GuardGeneric(sigma.entries, prefix).allows
+        allows = _guard_generic(sigma.entries, prefix)
 
     def rec() -> Iterator[Permutation]:
         if len(prefix) == n:
@@ -219,7 +219,7 @@ def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
     yield from rec()
 
 
-class _Guard3:
+def _guard3(sig: tuple[int, ...], used: bytearray) -> Callable[[int], bool]:
     """Extension test for a length-3 pattern ``sigma``, read off the flags
     ``used[1..n]`` of the current prefix.
 
@@ -231,48 +231,40 @@ class _Guard3:
     (``u`` below ``a``) used value on the side of ``x`` given by sigma(1) vs
     sigma(2).  ``x`` is allowed iff that interval holds no unused value.
     """
+    s1, s2, s3 = sig
+    a_above = s1 > s2
+    u_above_a = s1 < s3
+    u_above_x = s2 < s3
+    pick = used.find if u_above_a else used.rfind
 
-    __slots__ = ("used", "pick", "a_above", "u_above_a", "u_above_x")
-
-    def __init__(self, sig: tuple[int, ...], used: bytearray):
-        s1, s2, s3 = sig
-        self.used = used
-        self.a_above = s1 > s2
-        self.u_above_a = s1 < s3
-        self.u_above_x = s2 < s3
-        self.pick = used.find if self.u_above_a else used.rfind
-
-    def allows(self, x: int) -> bool:
-        used = self.used
-        a = self.pick(1, x + 1) if self.a_above else self.pick(1, 1, x)
+    def allows(x: int) -> bool:
+        a = pick(1, x + 1) if a_above else pick(1, 1, x)
         if a < 0:
             return True
-        lo, hi = (x, len(used)) if self.u_above_x else (0, x)
-        if self.u_above_a:
+        lo, hi = (x, len(used)) if u_above_x else (0, x)
+        if u_above_a:
             lo = max(lo, a)
         else:
             hi = min(hi, a)
         return used.find(0, lo + 1, hi) < 0
 
+    return allows
 
-class _GuardGeneric:
+
+def _guard_generic(sig: tuple[int, ...], prefix: list[int]) -> Callable[[int], bool]:
     """Completion test over subsequences of the prefix ending at the new
     value; the prefix list is shared with, and grown by, the search."""
+    k = len(sig)
 
-    __slots__ = ("prefix", "sig")
-
-    def __init__(self, sig: tuple[int, ...], prefix: list[int]):
-        self.prefix = prefix
-        self.sig = sig
-
-    def allows(self, v: int) -> bool:
-        k = len(self.sig)
-        if len(self.prefix) < k - 1:
+    def allows(v: int) -> bool:
+        if len(prefix) < k - 1:
             return True
-        for combo in itertools.combinations(self.prefix, k - 1):
-            if _order_isomorphic(combo + (v,), self.sig):
+        for combo in itertools.combinations(prefix, k - 1):
+            if _order_isomorphic(combo + (v,), sig):
                 return False
         return True
+
+    return allows
 
 
 def descents(pi: Permutation) -> tuple[int, ...]:

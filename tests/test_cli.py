@@ -10,6 +10,9 @@ import pytest
 
 from hookcomb.cli import _CHECK_NMAX, main
 from hookcomb.motzkin import MotzkinPath, leq
+from hookcomb.perm import Permutation
+from hookcomb.render import render_path, render_vhc
+from hookcomb.vhc import validate
 from hookcomb.walks import vhc312_series
 
 PYTHON = [sys.executable, "-m", "hookcomb"]
@@ -290,6 +293,20 @@ class TestSequencesAndChecks:
 
 
 class TestRender:
+    @pytest.mark.parametrize("args, expected", [
+        (["--vhc", '{"perm":"3215647","ne":[4,5,7]}'], lambda: render_vhc(
+            validate(Permutation.from_text("3215647"), {4, 5, 7}))),
+        (["--vhc", '{"perm":"324156","ne":[3,6]}'], lambda: render_vhc(
+            validate(Permutation.from_text("324156"), {3, 6}))),
+        (["--path", "UDEUEUDD"], lambda: render_path(MotzkinPath("UDEUEUDD"))),
+    ])
+    def test_readme_figures_equal_the_renderers(self, tmp_path, args, expected):
+        """README's three figure commands write the library's SVG, byte
+        for byte."""
+        out = tmp_path / "fig.svg"
+        run("render", *args, "--out", str(out))
+        assert out.read_bytes() == expected().encode()
+
     def test_render_vhc(self, tmp_path):
         out = tmp_path / "fig.svg"
         run("render", "--vhc", '{"perm":"3215647","ne":[4,5,7]}', "--out", str(out))

@@ -224,6 +224,10 @@ class TestEnumeration:
             enumerate_intervals("S", 12)  # the call raises, not the first item
         with pytest.raises(ValueError, match=r"M\(14\) = 113634.*n > 13"):
             enumerate_intervals("C", 14)
+        with pytest.raises(ValueError, match=r"M\(14\) = 113634.*n > 13"):
+            enumerate_intervals("T", 14)
+        with pytest.raises(ValueError, match="order must be one of"):
+            enumerate_intervals("X", 3)
 
     @pytest.mark.parametrize("order", ["S", "C", "T"])
     @pytest.mark.parametrize("n", range(10))

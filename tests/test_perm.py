@@ -12,7 +12,7 @@ from hookcomb.perm import (
     bruhat_leq,
     descent_tops,
     find_occurrence,
-    _Guard3,
+    _guard3,
     ltr_maxima,
 )
 
@@ -142,10 +142,10 @@ class TestAvoiders:
             used = bytearray(n + 1)
             for v in prefix:
                 used[v] = 1
-            guard = _Guard3(sigma.entries, used)
+            allows = _guard3(sigma.entries, used)
             for x in range(1, n + 1):
                 if not used[x]:
-                    assert guard.allows(x) == (prefix + (x,) in prefixes)
+                    assert allows(x) == (prefix + (x,) in prefixes)
 
     def test_generated_words_pass_the_public_check(self):
         # avoiders skips the constructor's check; the words must still pass it

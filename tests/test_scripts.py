@@ -13,19 +13,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_make_figures_writes_svgs(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "make_figures.py"), str(tmp_path)],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in tmp_path.glob("*.svg")) == [
-        "path_UDEUEUDD.svg", "vhc_3215647.svg", "vhc_324156.svg",
-    ]
-
-
-
 def test_run_checks_all_hold():
     """The three ``check`` commands README lists, at small sizes, report
     every suite and every verdict holds."""
@@ -43,15 +30,48 @@ def test_run_checks_all_hold():
     assert rows and all(r["verdict"] == "holds" for r in rows)
 
 @pytest.fixture
-def compare(monkeypatch):
-    """``bench_pair.compare``; the module reads BENCHMARK.json from the
-    working directory when it is imported."""
+def bench_pair(monkeypatch):
+    """``scripts/bench_pair.py`` as a module; it reads BENCHMARK.json from
+    the working directory when it is imported."""
     monkeypatch.chdir(ROOT)
     spec = importlib.util.spec_from_file_location(
         "bench_pair", ROOT / "scripts" / "bench_pair.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.compare
+    return module
+
+
+@pytest.fixture
+def compare(bench_pair):
+    return bench_pair.compare
+
+
+def test_snapshot_holds_the_working_tree_and_leaves_the_index(
+        bench_pair, tmp_path, monkeypatch):
+    """An edit and an untracked file land in the snapshot tree, an ignored
+    file does not, and ``git status`` reads the same afterwards."""
+    monkeypatch.chdir(tmp_path)
+    git = bench_pair.git
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("ignored.txt\n")
+    (tmp_path / "tracked.txt").write_text("old\n")
+    git("add", ".gitignore", "tracked.txt")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "base")
+    (tmp_path / "tracked.txt").write_text("edited\n")
+    (tmp_path / "new.txt").write_text("untracked\n")
+    (tmp_path / "ignored.txt").write_text("ignored\n")
+    status = git("status", "--porcelain")
+
+    tree = bench_pair.snapshot()
+
+    assert git("status", "--porcelain") == status
+    assert git("ls-tree", "--name-only", tree).splitlines() == [
+        ".gitignore", "new.txt", "tracked.txt"]
+    assert git("show", f"{tree}:tracked.txt") == "edited"
+    assert git("show", f"{tree}:new.txt") == "untracked"
+    unpacked = tmp_path / "unpacked"
+    bench_pair.unpack(tree, unpacked)
+    assert (unpacked / "tracked.txt").read_text() == "edited\n"
 
 
 def test_gain_rule_ties_count_for_neither_side(compare):
