@@ -56,7 +56,8 @@ def test_snapshot_holds_the_working_tree_and_leaves_the_index(
     (tmp_path / ".gitignore").write_text("ignored.txt\n")
     (tmp_path / "tracked.txt").write_text("old\n")
     git("add", ".gitignore", "tracked.txt")
-    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "base")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+        "commit", "-q", "-m", "base")
     (tmp_path / "tracked.txt").write_text("edited\n")
     (tmp_path / "new.txt").write_text("untracked\n")
     (tmp_path / "ignored.txt").write_text("ignored\n")
