@@ -135,7 +135,7 @@ def _cmd_count(args) -> int:
         rows = [(n, series[n]) for n in range(lo, hi + 1)]
     else:
         # largest size first, so an over-cap size is refused before any work
-        rows = [(n, vhc_count_exhaustive(n, pattern.entries))
+        rows = [(n, vhc_count_exhaustive(n, pattern))
                 for n in range(hi, lo - 1, -1)][::-1]
     if args.output == "csv":
         _write(["n,count\n", *(f"{n},{value}\n" for n, value in rows)])

@@ -56,10 +56,9 @@ def _check_exhaustive(n: int, pattern: Permutation) -> None:
 
 
 @lru_cache(maxsize=None)
-def vhc_count_exhaustive(n: int, pattern_entries: tuple[int, ...]) -> int:
+def vhc_count_exhaustive(n: int, pattern: Permutation) -> int:
     """Number of configurations on ``pattern``-avoiders of size ``n``,
     by direct enumeration over the ``carriers``."""
-    pattern = Permutation(pattern_entries)
     _check_exhaustive(n, pattern)
     return sum(
         sum(1 for _ in enumerate_vhcs(pi)) for pi in carriers(n, pattern)
@@ -256,19 +255,16 @@ def check_conjectures(k_max: int, bruhat_n_max: int) -> list[dict]:
     # the 312 column is the walk series, which criterion 03 checks against
     # the exhaustive count; the other five classes are swept
     counts = {
-        sigma.entries: [
-            vhc_count_exhaustive(n, sigma.entries)
-            for n in range(1, bruhat_n_max + 1)
-        ]
+        sigma: [vhc_count_exhaustive(n, sigma) for n in range(1, bruhat_n_max + 1)]
         for sigma in _S3
         if sigma != PATTERN_312
     }
-    counts[PATTERN_312.entries] = list(vhc312_series(bruhat_n_max)[1:])
+    counts[PATTERN_312] = list(vhc312_series(bruhat_n_max)[1:])
     for sigma in _S3:
         for tau in _S3:
             if sigma == tau or not bruhat_leq(sigma, tau):
                 continue
-            lo, hi = counts[sigma.entries], counts[tau.entries]
+            lo, hi = counts[sigma], counts[tau]
             ok = all(a <= b for a, b in zip(lo, hi))
             report.append(
                 {

@@ -1,11 +1,13 @@
 """The base of the package's validated value types.
 
-A subclass lists its fields in ``__slots__`` and sets them in ``__init__``
-(and in any unchecked constructor) with ``object.__setattr__``.  The base
-gives what ``dataclass(frozen=True)`` would, without importing
-``dataclasses``: equality only between instances of the same class, a hash
-over the fields, the ``Cls(field=value, ...)`` ``repr``, and
-``AttributeError`` on assignment and on deletion.
+A subclass lists its fields in ``__slots__``.  Its ``__new__`` checks its
+arguments and returns ``cls._trusted(...)``, the one place that builds a
+value without a check; producers in the package that build valid values
+by construction call ``_trusted`` directly, and everything from outside
+goes through ``Cls(...)``.  The base gives what ``dataclass(frozen=True)``
+would, without importing ``dataclasses``: equality only between instances
+of the same class, a hash over the fields, the ``Cls(field=value, ...)``
+``repr``, and ``AttributeError`` on assignment and on deletion.
 """
 
 from operator import attrgetter
@@ -20,6 +22,14 @@ class Frozen:
         # compares and hashes just as well); not a descriptor, so it is
         # called as ``self._key(self)``
         cls._key = attrgetter(*cls.__slots__)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The value with these fields, in ``__slots__`` order, unchecked."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(self, name, value)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

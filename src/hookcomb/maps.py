@@ -255,15 +255,15 @@ def ll_map(v: Vhc) -> Interval:
 
 
 def _ll_map(frame: LLFrame) -> Interval:
-    """Built without the ``leq`` check of ``Interval(...)``: both paths
-    carry the frame's letters, so they share a class, and the lower one's
-    heights are nowhere above the upper one's (the tests check the public
-    constructor on every image for n <= 8)."""
+    """Built unchecked, the interval and its paths: both paths carry the
+    frame's letters, so they share a class, and the lower one's heights
+    are nowhere above the upper one's (the tests rebuild every image
+    through ``MotzkinPath(...)`` and ``Interval(...)`` for n <= 8)."""
     lower, upper = (
-        "".join(x + "D" * g for x, g in zip(frame.letters, gaps))
+        MotzkinPath._trusted("".join(x + "D" * g for x, g in zip(frame.letters, gaps)))
         for gaps in (frame.gammas, frame.gamma_primes)
     )
-    return Interval._trusted(MotzkinPath(lower), MotzkinPath(upper), "C")
+    return Interval._trusted(lower, upper, "C")
 
 
 def ll_inverse(interval: Interval) -> Vhc | None:
@@ -308,7 +308,10 @@ def phi(interval: Interval) -> tuple[MotzkinPath, MotzkinPath]:
     The first output path records, position by position, how the supports
     of the two interval paths differ (U where the lower support is ``d``
     under a ``u``, D for the opposite, E where they agree); the second is
-    the lower path itself.
+    the lower path itself.  The first is built unchecked: its height is
+    the upper prefix's count of non-D steps less the lower one's, which a
+    C-interval keeps nonnegative and ends at zero (the tests rebuild it
+    through ``MotzkinPath(...)`` for every length n <= 7).
     """
     lower, upper = interval.lower, interval.upper
     if not leq("C", lower, upper):
@@ -318,13 +321,16 @@ def phi(interval: Interval) -> tuple[MotzkinPath, MotzkinPath]:
         "U" if a == "d" and b == "u" else "D" if a == "u" and b == "d" else "E"
         for a, b in zip(sl, su)
     )
-    return MotzkinPath(x), lower
+    return MotzkinPath._trusted(x), lower
 
 
 def phi_inverse(x: MotzkinPath, y: MotzkinPath) -> Interval:
     """Invert ``phi``: rebuild the upper path by overriding the support of
     ``y`` wherever ``x`` is not flat.  Raises on pairs with a forbidden
-    coordinatewise step."""
+    coordinatewise step.  The interval is built unchecked: ``phi`` is a
+    bijection from the C-intervals onto the allowed pairs, so the upper
+    path exists and lies above ``y`` (the tests rebuild it through
+    ``Interval(...)`` for every allowed pair of length n <= 7)."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     for a, b in zip(x.steps, y.steps):
@@ -334,7 +340,4 @@ def phi_inverse(x: MotzkinPath, y: MotzkinPath) -> Interval:
     target = "".join(
         "u" if a == "U" else "d" if a == "D" else s for a, s in zip(x.steps, sy)
     )
-    upper = reconstruct(path_class(y), target)
-    if upper is None:
-        raise AssertionError(f"no path with class {path_class(y)} over {target}")
-    return Interval(y, upper, "C")
+    return Interval._trusted(y, reconstruct(path_class(y), target), "C")

@@ -65,7 +65,7 @@ class MotzkinPath(Frozen):
     __slots__ = ("steps",)
     steps: str
 
-    def __init__(self, steps: str) -> None:
+    def __new__(cls, steps: str) -> "MotzkinPath":
         h = 0
         for s in steps:
             h += step_displacement(s)
@@ -73,7 +73,7 @@ class MotzkinPath(Frozen):
                 raise ValueError(f"path dips below the axis: {steps!r}")
         if h != 0:
             raise ValueError(f"path does not return to the axis: {steps!r}")
-        object.__setattr__(self, "steps", steps)
+        return cls._trusted(steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -178,22 +178,10 @@ class Interval(Frozen):
     upper: MotzkinPath
     order: str
 
-    def __init__(self, lower: MotzkinPath, upper: MotzkinPath, order: str) -> None:
+    def __new__(cls, lower: MotzkinPath, upper: MotzkinPath, order: str) -> "Interval":
         if not leq(order, lower, upper):
             raise ValueError(f"({lower}, {upper}) is not a {order}-interval")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "order", order)
-
-    @classmethod
-    def _trusted(cls, lower: MotzkinPath, upper: MotzkinPath, order: str) -> "Interval":
-        """A pair the caller has compared, without the check in
-        ``__init__``; pairs from outside go through ``Interval(...)``."""
-        interval = object.__new__(cls)
-        object.__setattr__(interval, "lower", lower)
-        object.__setattr__(interval, "upper", upper)
-        object.__setattr__(interval, "order", order)
-        return interval
+        return cls._trusted(lower, upper, order)
 
     def to_json(self) -> str:
         # U/D/E paths and an S/C/T order need no escaping
@@ -203,14 +191,16 @@ class Interval(Frozen):
 
 def enumerate_paths(n: int) -> Iterator[MotzkinPath]:
     """All Motzkin paths of length ``n`` in lexicographic order with the
-    step order U < D < E."""
+    step order U < D < E.  Built unchecked, as a step is taken only when
+    the height can still end at zero; the tests match the words over U, D,
+    E that ``MotzkinPath(...)`` accepts, in order, for every n <= 8."""
     if n < 0:
         raise ValueError("n must be >= 0")
     buf: list[str] = []
 
     def rec(i: int, h: int) -> Iterator[MotzkinPath]:
         if i == n:
-            yield MotzkinPath("".join(buf))
+            yield MotzkinPath._trusted("".join(buf))
             return
         remaining = n - i - 1
         if h + 1 <= remaining:

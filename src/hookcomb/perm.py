@@ -54,23 +54,15 @@ class Permutation(Frozen):
     __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __init__(self, entries: tuple[int, ...]) -> None:
+    def __new__(cls, entries: tuple[int, ...]) -> "Permutation":
         n = len(entries)
         seen = bytearray(n + 1)
         for v in entries:
-            if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
+            # not ``isinstance``: a ``bool`` is no entry
+            if type(v) is not int or not 1 <= v <= n or seen[v]:
                 raise ValueError(f"not a permutation of 1..{n}: {entries!r}")
             seen[v] = 1
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> "Permutation":
-        """Wrap a word that the caller built as a permutation of ``1..n``,
-        without the check in ``__init__``.  For generators only; words
-        from outside go through ``Permutation(...)``."""
-        pi = object.__new__(cls)
-        object.__setattr__(pi, "entries", entries)
-        return pi
+        return cls._trusted(entries)
 
     @property
     def n(self) -> int:

@@ -57,21 +57,10 @@ class Vhc(Frozen):
     pi: Permutation
     ne_set: frozenset[int]
 
-    def __init__(self, pi: Permutation, ne_set: Iterable[int]) -> None:
-        ne = _checked_ne(pi, ne_set)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "ne_set", ne)
-        if _matching(pi.entries, ne) is None:
-            raise ValueError(f"not a valid hook configuration: {self.to_json()}")
-
-    @classmethod
-    def _trusted(cls, pi: Permutation, ne_set: frozenset[int]) -> "Vhc":
-        """Wrap a configuration that the caller built valid, without the
-        check in ``__init__``.  For producers in the package only;
-        sets from outside go through ``Vhc(...)``."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "pi", pi)
-        object.__setattr__(v, "ne_set", ne_set)
+    def __new__(cls, pi: Permutation, ne_set: Iterable[int]) -> "Vhc":
+        v = cls._trusted(pi, _checked_ne(pi, ne_set))
+        if _matching(pi.entries, v.ne_set) is None:
+            raise ValueError(f"not a valid hook configuration: {v.to_json()}")
         return v
 
     @property
@@ -95,11 +84,11 @@ class Vhc(Frozen):
 
 
 def _checked_ne(pi: Permutation, ne_indices: Iterable[int]) -> frozenset[int]:
-    ne = frozenset(ne_indices)
+    ne = tuple(ne_indices)  # each index checked before a set folds True into 1
     for i in ne:
-        if not isinstance(i, int) or not 1 <= i <= pi.n:
+        if type(i) is not int or not 1 <= i <= pi.n:
             raise ValueError(f"northeast index {i!r} out of range 1..{pi.n}")
-    return ne
+    return frozenset(ne)
 
 
 def _matching(ent: tuple[int, ...], ne: frozenset[int]) -> list[tuple[int, int]] | None:

@@ -330,6 +330,13 @@ class TestRender:
         assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
         assert "perm" in proc.stderr and "internal error" not in proc.stderr
 
+    def test_boolean_index_is_refused_as_one(self, tmp_path):
+        out = tmp_path / "x.svg"
+        text = '{"perm":"213","ne":[true]}'
+        proc = run("render", "--vhc", text, "--out", str(out), check=False)
+        assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+        assert "northeast index True out of range" in proc.stderr
+
     def test_unwritable_path_fails(self):
         proc = run(
             "render", "--path", "EE", "--out", "/nonexistent/dir/x.svg",

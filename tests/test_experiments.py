@@ -135,7 +135,7 @@ class TestCarrierSweeps:
     def test_count(self, sigma, n_max):
         for n in range(n_max + 1):
             expected = sum(1 for _ in configurations_on_avoiders(n, sigma))
-            assert vhc_count_exhaustive(n, sigma.entries) == expected, n
+            assert vhc_count_exhaustive(n, sigma) == expected, n
 
     def test_reduced_count(self):
         for n in range(10):
@@ -150,13 +150,13 @@ class TestExhaustiveCaps:
     )
     def test_refused_past_the_cap(self, text, cap):
         with pytest.raises(ValueError, match=f"n <= {cap}: "):
-            vhc_count_exhaustive(cap + 1, perm(text).entries)
+            vhc_count_exhaustive(cap + 1, perm(text))
 
     def test_shorter_patterns_share_the_length_2_cap(self):
         cap = _EXHAUSTIVE_LIMIT[2][0]
         for text in ("1", "12", "21"):
             with pytest.raises(ValueError, match=f"n <= {cap}"):
-                vhc_count_exhaustive(cap + 1, perm(text).entries)
+                vhc_count_exhaustive(cap + 1, perm(text))
 
     def test_length_2_carriers_count_at_the_cap(self):
         """123 leaves one configuration up to n = 3 and none past it (two
@@ -164,8 +164,8 @@ class TestExhaustiveCaps:
         every size (the identity, with no hook)."""
         cap = _EXHAUSTIVE_LIMIT[2][0]
         for n in (0, 1, 2, 3, 4, cap):
-            assert vhc_count_exhaustive(n, (1, 2, 3)) == (n <= 3), n
-            assert vhc_count_exhaustive(n, (2, 1, 3)) == 1, n
+            assert vhc_count_exhaustive(n, perm("123")) == (n <= 3), n
+            assert vhc_count_exhaustive(n, perm("213")) == 1, n
 
     def test_conjectures_refuse_before_the_triangle(self, monkeypatch):
         import hookcomb.experiments
@@ -215,18 +215,18 @@ class TestConjectures:
         swept = []
         real = hookcomb.experiments.vhc_count_exhaustive
 
-        def counted(n, entries):
-            swept.append(entries)
-            return real(n, entries)
+        def counted(n, pattern):
+            swept.append(pattern)
+            return real(n, pattern)
 
         monkeypatch.setattr(hookcomb.experiments, "vhc_count_exhaustive", counted)
         report = check_conjectures(k_max=1, bruhat_n_max=7)
-        assert (3, 1, 2) not in swept
+        assert PATTERN_312 not in swept
         assert len(set(swept)) == 5  # the other classes stay exhaustive
         column = {
             e["tau"]: e["rhs"] for e in report if e["check"] == "conjecture4"
         }["312"]
-        assert column == [str(real(n, (3, 1, 2))) for n in range(1, 8)]
+        assert column == [str(real(n, PATTERN_312)) for n in range(1, 8)]
 
     def test_kmax_past_the_cap_is_refused_by_the_triangle(self):
         with pytest.raises(ValueError, match=f"k <= {_TRIANGLE_LIMIT}: "):
@@ -244,11 +244,11 @@ class TestConjectures:
     def test_pattern_counts_here_match_known_sequences(self):
         # 132-avoiders carry as many configurations as lng-order intervals
         assert [
-            vhc_count_exhaustive(n, (1, 3, 2)) for n in range(1, 7)
+            vhc_count_exhaustive(n, perm("132")) for n in range(1, 7)
         ] == [1, 1, 2, 5, 14, 43]
         # 213-avoiders admit exactly one configuration at every size
         assert [
-            vhc_count_exhaustive(n, (2, 1, 3)) for n in range(1, 7)
+            vhc_count_exhaustive(n, perm("213")) for n in range(1, 7)
         ] == [1] * 6
 
 
@@ -395,7 +395,7 @@ class TestFit:
     pytest.param(check_eq2, (_EQ2_LIMIT + 1, 2), id="eq2"),
     pytest.param(check_tamari_image, (_TAMARI_LIMIT + 1,), id="tamari"),
     *(pytest.param(vhc_count_exhaustive,
-                   (_EXHAUSTIVE_LIMIT[length][0] + 1, perm(text).entries),
+                   (_EXHAUSTIVE_LIMIT[length][0] + 1, perm(text)),
                    id=f"exhaustive-{text}")
       for length, text in ((2, "213"), (3, "132"), (4, "4231"))),
     *(pytest.param(enumerate_intervals, (order, _INTERVAL_LIMIT[order][0] + 1),

@@ -315,10 +315,12 @@ class TestIntervalCode:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_images_pass_the_public_check(self, n):
-        # ll_map builds its interval unchecked; the public constructor agrees
+        # ll_map builds its interval and paths unchecked; the public
+        # constructors agree
         for v in all_vhcs(n, PATTERN_312):
             interval = ll_map(v)
-            assert Interval(interval.lower, interval.upper, "C") == interval
+            rebuilt = [MotzkinPath(p.steps) for p in (interval.lower, interval.upper)]
+            assert Interval(*rebuilt, "C") == interval
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_lookup_inverts(self, n):
@@ -370,13 +372,18 @@ class TestPhi:
 
     @pytest.mark.parametrize("n", range(8))
     def test_round_trips(self, n):
+        # phi's x and phi_inverse's interval are built unchecked; the public
+        # constructors agree
         for interval in enumerate_intervals("C", n):
             x, y = phi(interval)
+            assert MotzkinPath(x.steps) == x
             back = phi_inverse(x, y)
             assert back.lower == interval.lower
             assert back.upper == interval.upper
         for x, y in enumerate_restricted_pairs(n):
             interval = phi_inverse(x, y)
+            rebuilt = [MotzkinPath(p.steps) for p in (interval.lower, interval.upper)]
+            assert Interval(*rebuilt, "C") == interval
             assert phi(interval) == (x, y)
 
     def test_inverse_rejects_forbidden_pair(self):

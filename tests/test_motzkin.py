@@ -168,10 +168,16 @@ class TestEnumeration:
         ]
 
     def test_lex_order_with_u_d_e(self):
-        rank = {"U": 0, "D": 1, "E": 2}
-        for n in range(8):
-            keys = [tuple(rank[s] for s in p.steps) for p in paths(n)]
-            assert keys == sorted(keys)
+        """The paths are built unchecked: they are the words over U < D < E,
+        in order, that the public constructor accepts."""
+        for n in range(9):
+            expected = []
+            for steps in itertools.product("UDE", repeat=n):
+                try:
+                    expected.append(MotzkinPath("".join(steps)))
+                except ValueError:
+                    pass
+            assert list(enumerate_paths(n)) == expected, n
 
     def test_intervals_t3(self):
         assert sum(1 for _ in enumerate_intervals("T", 3)) == 5

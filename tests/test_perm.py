@@ -45,7 +45,7 @@ class TestConstruction:
     def test_empty(self):
         assert Permutation.from_text("").n == 0
 
-    @pytest.mark.parametrize("bad", [(1, 1), (2,), (0, 1), (1, 2, 4)])
+    @pytest.mark.parametrize("bad", [(1, 1), (2,), (0, 1), (1, 2, 4), (True, 2)])
     def test_rejects_non_bijections(self, bad):
         with pytest.raises(ValueError):
             Permutation(bad)

@@ -51,6 +51,7 @@ def test_frozen_value_contract(make, text):
 
 def test_trusted_values_equal_checked_ones():
     assert Permutation._trusted((2, 1)) == Permutation((2, 1))
+    assert MotzkinPath._trusted("UD") == UD
     assert Interval._trusted(UD, UD, "C") == Interval(UD, UD, "C")
     pi = Permutation.from_text("2134")
     assert Vhc._trusted(pi, frozenset({3})) == Vhc(pi, {3})

@@ -54,6 +54,10 @@ class TestValidate:
             Vhc(perm("21"), frozenset({2}))
         with pytest.raises(ValueError, match="out of range"):
             Vhc(perm("21"), frozenset({3}))
+        with pytest.raises(ValueError, match="index True out of range"):
+            Vhc.from_json('{"perm":"213","ne":[3,true]}')  # a bool is no index
+        with pytest.raises(ValueError, match="index True out of range"):
+            validate(perm("213"), [1, True])  # even where a set folds it into 1
         with pytest.raises(ValueError, match="not a valid hook configuration"):
             Vhc.from_json('{"perm":"21","ne":[2]}')
 
