@@ -1,6 +1,6 @@
 """Structural maps: sliding operators, stripe transfer, and interval codes.
 
-The four families of maps implemented here:
+The three families of maps implemented here:
 
 * ``swl`` / ``swr`` slide, for each height ``h`` from ``n`` down to 1, the
   points southwest of the point at height ``h`` to the left (resp. right)
@@ -8,13 +8,11 @@ The four families of maps implemented here:
   between 132-avoiding and 312-avoiding permutations and are only defined
   on those classes; out-of-class inputs raise with the offending
   occurrence.
-* ``nw`` sends a point of a 312-avoiding permutation to its *northwest
-  representative*, the leftmost left-to-right maximum weakly above and to
-  the left.  Its fibers are the horizontal, left-to-right descending
-  *stripes*; ``nw_inv`` picks the rightmost point of a stripe.
 * ``w_map`` transfers a hook configuration on a 132-avoider to one on the
   corresponding 312-avoider by sliding the permutation with ``swl`` and
-  replacing each northeast endpoint with its northwest representative.
+  replacing each northeast endpoint with its *northwest representative*
+  (``_nw_of``), the leftmost left-to-right maximum weakly above and to the
+  left, whose fibers are the descending *stripes* (``_stripes``).
   It is injective; ``w_map_left_inverse`` undoes it and, applied to an
   arbitrary configuration on a 312-avoider, reports whether the pulled
   back candidate is itself valid.
@@ -115,36 +113,14 @@ def _nw_of(maxima: tuple[Point, ...], p: Point) -> Point:
     return next(m for m in maxima if m.value >= p.value)
 
 
-def nw(pi: Permutation, p: Point) -> Point:
-    """Leftmost left-to-right maximum weakly above and left of ``p``."""
-    _require_avoiding(pi, PATTERN_312, "nw")
-    if pi.point(p.index) != p:
-        raise ValueError(f"{p} is not a plot point of {pi}")
-    return _nw_of(ltr_maxima(pi), p)
-
-
-def stripes(pi: Permutation) -> tuple[tuple[Point, ...], ...]:
-    """Fibers of ``nw``, bottom stripe first, each descending left to right,
-    so a stripe's head is its maximum, its northwest representative."""
-    _require_avoiding(pi, PATTERN_312, "stripes")
-    return _stripes(pi)
-
-
 def _stripes(pi: Permutation) -> tuple[tuple[Point, ...], ...]:
+    """Fibers of ``_nw_of`` on a 312-avoider, bottom first, each descending
+    left to right, so a stripe's head is its northwest representative."""
     maxima = ltr_maxima(pi)  # they rise left to right
     groups: dict[Point, list[Point]] = {m: [] for m in maxima}
     for p in pi.points():
         groups[_nw_of(maxima, p)].append(p)
     return tuple(tuple(groups[m]) for m in maxima)
-
-
-def nw_inv(pi: Permutation, m: Point) -> Point:
-    """Rightmost point of the stripe of a left-to-right maximum."""
-    _require_avoiding(pi, PATTERN_312, "nw_inv")
-    rightmost = {s[0]: s[-1] for s in _stripes(pi)}
-    if m not in rightmost:
-        raise ValueError(f"{m} is not a left-to-right maximum of {pi}")
-    return rightmost[m]
 
 
 # --- configuration transfer ------------------------------------------------
@@ -224,13 +200,6 @@ class LLFrame(NamedTuple):
     letters: tuple[str, ...]
 
 
-def ll_frame(v: Vhc) -> LLFrame:
-    if v.pi.n < 1:
-        raise ValueError("frame needs a nonempty permutation")
-    _require_avoiding(v.pi, PATTERN_312, "ll_frame")
-    return _ll_frame(v)
-
-
 def _ll_frame(v: Vhc) -> LLFrame:
     pi = v.pi
     maxima = tuple(reversed(ltr_maxima(pi))) + (Point(0, 0),)
@@ -251,7 +220,11 @@ def ll_map(v: Vhc) -> Interval:
     gap counts as down runs, the upper path uses the vertical gap counts;
     both have length ``n - 1``.
     """
-    return _ll_map(ll_frame(v))
+    if v.pi.n < 1:
+        raise ValueError("frame needs a nonempty permutation")
+    # the frame is the step that needs the class, and the refusal names it
+    _require_avoiding(v.pi, PATTERN_312, "ll_frame")
+    return _ll_map(_ll_frame(v))
 
 
 def _ll_map(frame: LLFrame) -> Interval:

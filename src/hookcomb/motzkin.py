@@ -66,6 +66,8 @@ class MotzkinPath(Frozen):
     steps: str
 
     def __new__(cls, steps: str) -> "MotzkinPath":
+        if not isinstance(steps, str):
+            raise ValueError(f"a Motzkin path is a step string, not {steps!r}")
         h = 0
         for s in steps:
             h += step_displacement(s)

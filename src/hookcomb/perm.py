@@ -23,6 +23,10 @@ against a filter-all oracle at every ``n <= 6``, both the output and the
 accepted extensions of every prefix; it reproduced the sequences of the
 earlier per-pattern guards at every ``n <= 11`` (and ``n = 12`` for 312).
 
+The same rule guards the maps: ``find_occurrence`` replays it over a whole
+permutation in one pass, and searches for the first occurrence, in O(n^2),
+only on a refusal.
+
 All values are immutable after construction and every operation here is
 pure, so they are safe to call from concurrent workers.
 """
@@ -55,6 +59,7 @@ class Permutation(Frozen):
     entries: tuple[int, ...]
 
     def __new__(cls, entries: tuple[int, ...]) -> "Permutation":
+        entries = tuple(entries)
         n = len(entries)
         seen = bytearray(n + 1)
         for v in entries:
@@ -125,23 +130,51 @@ PATTERN_312 = Permutation((3, 1, 2))
 
 
 def find_occurrence(pi: Permutation, sigma: Permutation) -> tuple[int, ...] | None:
-    """1-based indices of the first occurrence of ``sigma`` in ``pi``.
-
-    Occurrences are scanned in lexicographic index order; ``None`` means
-    ``pi`` avoids ``sigma``.  The empty pattern occurs (vacuously) in every
-    permutation as the empty index tuple.
-    """
-    k = sigma.n
-    if k == 0:
-        return ()
-    if k > pi.n:
-        return None
-    ent = pi.entries
-    sig = sigma.entries
-    for combo in itertools.combinations(range(pi.n), k):
-        if _order_isomorphic(tuple(ent[c] for c in combo), sig):
-            return tuple(c + 1 for c in combo)
+    """1-based indices of the lexicographically first occurrence of a
+    length-3 pattern ``sigma`` in ``pi``, or ``None`` when ``pi`` avoids it.
+    With the values left of a letter marked used, the unused ones are
+    exactly those to its right, so ``pi`` avoids ``sigma`` iff ``_guard3``
+    allows every letter in turn.  Only a refusal pays for the search."""
+    if sigma.n != 3:
+        raise ValueError(f"not a length-3 pattern: {sigma}")
+    used = bytearray(pi.n + 1)
+    allows = _guard3(sigma.entries, used)
+    for x in pi.entries:
+        if not allows(x):
+            return _first_occurrence(pi.entries, sigma.entries)
+        used[x] = 1
     return None
+
+
+def _first_occurrence(ent: tuple[int, ...], sig: tuple[int, ...]) -> tuple[int, int, int]:
+    """The lexicographically first occurrence of ``sig`` in a word that
+    contains it, in O(n^2).  At a middle letter ``x``, of the values right of
+    it (unused, as in ``_guard3``) on the third letter's side of ``x``, the
+    one ``t`` furthest toward its side of the first serves every first
+    letter that any serves; so the first letters that fit are a range of
+    values, and the leftmost is a minimum over one slice of positions."""
+    s1, s2, s3 = sig
+    n = len(ent)
+    pos = [n, *sorted(range(n), key=ent.__getitem__)]  # value -> position
+
+    def side(v: int, above: bool) -> tuple[int, int]:
+        return (v + 1, n + 1) if above else (1, v)
+
+    def positions(r: tuple[int, int], s: tuple[int, int]) -> list[int]:
+        return pos[max(r[0], s[0]) : min(r[1], s[1])]
+
+    used = bytearray(n + 1)
+    best = (n, n)
+    for j, x in enumerate(ent):
+        t = (used.rfind if s1 < s3 else used.find)(0, *side(x, s2 < s3))
+        used[x] = 1
+        if t > 0:
+            i = min(positions(side(x, s1 > s2), side(t, s1 > s3)), default=n)
+            if i < j:
+                best = min(best, (i, j))
+    i, j = best
+    k = min(p for p in positions(side(ent[j], s2 < s3), side(ent[i], s1 < s3)) if p > j)
+    return i + 1, j + 1, k + 1
 
 
 def _order_isomorphic(word: tuple[int, ...], sig: tuple[int, ...]) -> bool:
@@ -263,15 +296,6 @@ def descents(pi: Permutation) -> tuple[int, ...]:
     """Positions ``i`` with ``p(i) > p(i+1)``."""
     ent = pi.entries
     return tuple(i + 1 for i in range(pi.n - 1) if ent[i] > ent[i + 1])
-
-
-def descent_tops(pi: Permutation) -> tuple[Point, ...]:
-    """Descent-top points ``(i, p(i))`` in increasing index order.
-
-    >>> descent_tops(Permutation.from_text("3215647"))
-    (Point(index=1, value=3), Point(index=2, value=2), Point(index=5, value=6))
-    """
-    return tuple(pi.point(i) for i in descents(pi))
 
 
 def ltr_maxima(pi: Permutation) -> tuple[Point, ...]:

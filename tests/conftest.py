@@ -5,8 +5,8 @@ symmetric groups or full step products so that the package's pruned
 generators and dynamic programs have something independent to agree with.
 The geometric validator, the pattern test, the single-height slides, the
 pivot points and the Dyck-prefix order are oracles only, and the descent
-bottoms and left-to-right minima are read only by tests, so they live here
-rather than in the package.
+tops and bottoms and the left-to-right minima are read only by tests, so they
+live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ from typing import Iterable, Iterator
 
 import pytest
 
-from hookcomb.maps import _slide, nw_inv
+from hookcomb.maps import _slide, _stripes
 from hookcomb.motzkin import enumerate_paths
 from hookcomb.perm import (
     PATTERN_312,
     Permutation,
     Point,
     avoiders,
-    descent_tops,
     descents,
-    find_occurrence,
 )
 from hookcomb.vhc import Hook, Vhc, _checked_ne, enumerate_vhcs, is_reduced
 from hookcomb.walks import ALLOWED_STEP_PAIRS, STEPS, count_walks
@@ -48,9 +46,23 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
     )
 
 
+def brute_occurrence(pi: Permutation, sigma: Permutation) -> tuple[int, ...] | None:
+    """Oracle for ``find_occurrence``: 1-based indices of the first
+    occurrence of ``sigma`` in ``pi``, trying every k-subset of positions in
+    lexicographic order; ``None`` means ``pi`` avoids ``sigma``.  The empty
+    pattern occurs (vacuously) in every permutation as the empty tuple."""
+    k, ent, sig = sigma.n, pi.entries, sigma.entries
+    pairs = tuple(itertools.combinations(range(k), 2))
+    for combo in itertools.combinations(range(pi.n), k):
+        word = [ent[c] for c in combo]
+        if all((word[a] < word[b]) == (sig[a] < sig[b]) for a, b in pairs):
+            return tuple(c + 1 for c in combo)
+    return None
+
+
 def contains_pattern(pi: Permutation, sigma: Permutation) -> bool:
     """True when some subsequence of ``pi`` is order-isomorphic to ``sigma``."""
-    return find_occurrence(pi, sigma) is not None
+    return brute_occurrence(pi, sigma) is not None
 
 
 def brute_avoiders(n: int, sigma: Permutation) -> list[Permutation]:
@@ -282,6 +294,11 @@ def validate_bruteforce(
     return next(_bruteforce_assignments(pi, ne_indices), None)
 
 
+def descent_tops(pi: Permutation) -> tuple[Point, ...]:
+    """Descent-top points ``(i, p(i))`` in increasing index order."""
+    return tuple(pi.point(i) for i in descents(pi))
+
+
 def descent_bottoms(pi: Permutation) -> tuple[Point, ...]:
     """Descent-bottom points ``(i+1, p(i+1))``, paired with the tops."""
     return tuple(pi.point(i + 1) for i in descents(pi))
@@ -320,6 +337,13 @@ def swr_at(pi: Permutation, height: int) -> Permutation:
     return Permutation(_slide(pi.entries, height, below_first=False))
 
 
+def stripe_ends(pi: Permutation) -> dict[Point, Point]:
+    """Each stripe's head, a left-to-right maximum, mapped to the stripe's
+    rightmost point: the inverse of the northwest representative that the
+    pullback picks."""
+    return {s[0]: s[-1] for s in _stripes(pi)}
+
+
 def pivot_points(v: Vhc, hook: Hook) -> tuple[Point, ...]:
     """Points that would swap a hook's endpoints under the pullback.
 
@@ -330,7 +354,7 @@ def pivot_points(v: Vhc, hook: Hook) -> tuple[Point, ...]:
     if hook not in v.matching:
         raise ValueError(f"{hook} is not a hook of {v.to_json()}")
     a = hook.sw
-    anchor = nw_inv(v.pi, hook.ne)
+    anchor = stripe_ends(v.pi)[hook.ne]
     if not a.index < anchor.index:
         return ()
     return tuple(

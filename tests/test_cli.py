@@ -92,6 +92,32 @@ class TestMap:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "not a valid hook configuration" in proc.stderr
 
+    @pytest.mark.parametrize("argv, stderr", [
+        (["swl", "--perm", "2413"],
+         "swl needs a 132-avoiding permutation; 2413 matches it at positions "
+         "(1, 2, 4) (values (2, 4, 3))"),
+        (["swl", "--perm", "10,11,12,1,2,3,4,5,6,9,7,8"],
+         "swl needs a 132-avoiding permutation; 10,11,12,1,2,3,4,5,6,9,7,8 "
+         "matches it at positions (4, 10, 11) (values (1, 9, 7))"),
+        (["swr", "--perm", "2413"],
+         "swr needs a 312-avoiding permutation; 2413 matches it at positions "
+         "(2, 3, 4) (values (4, 1, 3))"),
+        (["w", "--perm", "31425", "--ne", "3,5"],
+         "w_map needs a 132-avoiding permutation; 31425 matches it at positions "
+         "(2, 3, 4) (values (1, 4, 2))"),
+        (["winv", "--perm", "14235", "--ne", "5"],
+         "w_map_left_inverse needs a 312-avoiding permutation; 14235 matches it "
+         "at positions (2, 3, 4) (values (4, 2, 3))"),
+        (["ll", "--perm", "14235", "--ne", "5"],
+         "ll_frame needs a 312-avoiding permutation; 14235 matches it at "
+         "positions (2, 3, 4) (values (4, 2, 3))"),
+        (["ll", "--perm", "", "--ne", ""], "frame needs a nonempty permutation"),
+    ], ids=["swl", "swl-commas", "swr", "w", "winv", "ll", "ll-empty"])
+    def test_refusal_bytes(self, capsys, argv, stderr):
+        assert main(["map", "--name", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"hookcomb: {stderr}\n"
+
     def test_missing_flag_is_config_error(self):
         proc = run("map", "--name", "ll", "--perm", "324156", check=False)
         assert proc.returncode == 2

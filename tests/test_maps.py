@@ -1,15 +1,16 @@
+import time
+
 import pytest
 
 from hookcomb.maps import (
-    ll_frame,
+    _ll_frame,
+    _nw_of,
+    _stripes,
     ll_inverse,
     ll_map,
-    nw,
-    nw_inv,
     phi,
     phi_inverse,
     point_image,
-    stripes,
     swl,
     swr,
     w_map,
@@ -22,7 +23,6 @@ from hookcomb.perm import (
     Permutation,
     Point,
     avoiders,
-    descent_tops,
     ltr_maxima,
 )
 from hookcomb.vhc import Hook, Vhc, enumerate_vhcs, validate
@@ -30,10 +30,12 @@ from hookcomb.walks import ALLOWED_STEP_PAIRS
 
 from .conftest import (
     contains_pattern,
+    descent_tops,
     enumerate_restricted_pairs,
     ltr_minima,
     perm,
     pivot_points,
+    stripe_ends,
     swl_at,
     swr_at,
 )
@@ -177,52 +179,44 @@ class TestPointImage:
 
 class TestNorthwest:
     def test_nw_in_2143(self):
-        assert nw(perm("2143"), Point(4, 3)) == (3, 4)
+        pi = perm("2143")
+        assert _nw_of(ltr_maxima(pi), Point(4, 3)) == (3, 4)
 
     def test_nw_fixes_maxima(self):
-        pi = perm("2143")
-        for m in ltr_maxima(pi):
-            assert nw(pi, m) == m
-
-    def test_nw_rejects_non_point(self):
-        with pytest.raises(ValueError):
-            nw(perm("2143"), Point(1, 1))
-
-    def test_nw_rejects_312_container(self):
-        with pytest.raises(ValueError):
-            nw(perm("312"), Point(1, 3))
+        maxima = ltr_maxima(perm("2143"))
+        for m in maxima:
+            assert _nw_of(maxima, m) == m
 
     def test_stripes_2143(self):
-        s = stripes(perm("2143"))
+        s = _stripes(perm("2143"))
         assert s == (((1, 2), (2, 1)), ((3, 4), (4, 3)))
         assert tuple(stripe[0] for stripe in s) == ((1, 2), (3, 4))
 
     def test_nw_inv_is_rightmost(self):
-        pi = perm("2143")
-        assert nw_inv(pi, Point(3, 4)) == (4, 3)
-        assert nw_inv(pi, Point(1, 2)) == (2, 1)
-
-    def test_nw_inv_requires_maximum(self):
-        with pytest.raises(ValueError):
-            nw_inv(perm("2143"), Point(2, 1))
+        ends = stripe_ends(perm("2143"))
+        assert ends == {Point(3, 4): (4, 3), Point(1, 2): (2, 1)}
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_nw_of_nw_inv_round_trip(self, n):
         for pi in avoiders(n, PATTERN_312):
-            for m in ltr_maxima(pi):
-                assert nw(pi, nw_inv(pi, m)) == m
+            maxima = ltr_maxima(pi)
+            ends = stripe_ends(pi)
+            assert set(ends) == set(maxima)
+            for m in maxima:
+                assert _nw_of(maxima, ends[m]) == m
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_representative_lies_weakly_northwest(self, n):
         for pi in avoiders(n, PATTERN_312):
+            maxima = ltr_maxima(pi)
             for p in pi.points():
-                m = nw(pi, p)
+                m = _nw_of(maxima, p)
                 assert m.index <= p.index and m.value >= p.value, (pi, p)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_stripes_descend_and_stack(self, n):
         for pi in avoiders(n, PATTERN_312):
-            s = stripes(pi)
+            s = _stripes(pi)
             for stripe in s:
                 values = [p.value for p in stripe]
                 assert values == sorted(values, reverse=True), (pi, stripe)
@@ -238,7 +232,7 @@ class TestNorthwest:
         non-minimum image, rightmost in its stripe."""
         for tau in avoiders(n, PATTERN_132):
             minima = {p.value for p in ltr_minima(tau)}
-            decomposition = stripes(swl(tau))
+            decomposition = _stripes(swl(tau))
             bottom = decomposition[0]
             assert all(p.value in minima for p in bottom)
             for stripe in decomposition[1:]:
@@ -285,7 +279,7 @@ class TestTransfer:
 class TestIntervalCode:
     def test_worked_example(self):
         v = validate(perm("324156"), {3, 6})
-        frame = ll_frame(v)
+        frame = _ll_frame(v)
         assert frame.gammas == (0, 1, 1)
         assert frame.gamma_primes == (0, 0, 2)
         assert frame.letters == ("U", "E", "U")
@@ -343,7 +337,7 @@ class TestIntervalCode:
         """Each hook's horizontal extent equals the lng statistic at its
         northeast endpoint's letter."""
         for v in all_vhcs(n, PATTERN_312):
-            frame = ll_frame(v)
+            frame = _ll_frame(v)
             lower = ll_map(v).lower
             lngs = lng_all(lower)
             for hook in v.matching:
@@ -453,7 +447,7 @@ class TestPivotsAndTamari:
             lower, upper = interval.lower, interval.upper
             if leq("T", lower, upper):
                 continue
-            frame = ll_frame(v)
+            frame = _ll_frame(v)
             lng_lo, lng_up = lng_all(lower), lng_all(upper)
             rises = [1 if x == "U" else 0 for x in frame.letters]
             bad = [i for i in range(len(rises)) if lng_lo[i] > lng_up[i]]
@@ -474,8 +468,8 @@ class TestPivotsAndTamari:
 
 
 class TestGuards:
-    """The O(n^3) pattern guard runs once per public call, not again in the
-    steps that call builds on."""
+    """The pattern guard runs once per public call, not again in the steps
+    that call builds on."""
 
     @pytest.fixture
     def guard_calls(self, monkeypatch):
@@ -500,7 +494,64 @@ class TestGuards:
             w_map_left_inverse(w)
             assert guard_calls == [PATTERN_312]
 
+    def test_one_guard_per_slide_and_code(self, guard_calls):
+        for tau in avoiders(6, PATTERN_132):
+            guard_calls.clear()
+            pi = swl(tau)
+            assert guard_calls == [PATTERN_132]
+            guard_calls.clear()
+            swr(pi)
+            assert guard_calls == [PATTERN_312]
+            for v in enumerate_vhcs(pi):
+                guard_calls.clear()
+                ll_map(v)
+                assert guard_calls == [PATTERN_312]
+
     def test_no_guard_in_inverse_code(self, guard_calls):
         for interval in enumerate_intervals("C", 6):
             ll_inverse(interval)
         assert guard_calls == []
+
+
+# A cubic guard would take minutes at this size.  With the replay of the
+# extension rule, and the O(n^2) search on refusal only, the three calls
+# below took 49 ms (mostly the slides), 1 ms and 9 ms on a 2-core Xeon with
+# Python 3.11, so the budget leaves room for a loaded machine.
+SCALE_N = 1000
+SCALE_BUDGET_S = 1.0
+
+
+def _timed(func, *args):
+    start = time.perf_counter()
+    try:
+        out = func(*args)
+    except ValueError as exc:
+        out = exc
+    return out, time.perf_counter() - start
+
+
+class TestScale:
+    def test_swr_on_decreasing(self):
+        pi = Permutation(tuple(range(SCALE_N, 0, -1)))
+        image, seconds = _timed(swr, pi)
+        assert seconds < SCALE_BUDGET_S
+        assert swl(image) == pi
+
+    def test_ll_map_on_a_large_configuration(self):
+        m = (SCALE_N - 1) // 3
+        interval = Interval(MotzkinPath("UDE" * m), MotzkinPath("UE" * m + "D" * m), "C")
+        v = ll_inverse(interval)
+        assert v.pi.n == SCALE_N and len(v.ne_set) == m
+        image, seconds = _timed(ll_map, v)
+        assert seconds < SCALE_BUDGET_S
+        assert image == interval
+
+    def test_refusal_with_the_only_occurrence_last(self):
+        n = SCALE_N
+        pi = Permutation(tuple(range(1, n - 2)) + (n, n - 2, n - 1))
+        refusal, seconds = _timed(swr, pi)
+        assert seconds < SCALE_BUDGET_S
+        assert str(refusal).endswith(
+            f"matches it at positions ({n - 2}, {n - 1}, {n}) "
+            f"(values ({n}, {n - 2}, {n - 1}))"
+        )

@@ -10,7 +10,6 @@ from hookcomb.perm import (
     Permutation,
     avoiders,
     bruhat_leq,
-    descent_tops,
     find_occurrence,
     _guard3,
     ltr_maxima,
@@ -19,9 +18,11 @@ from hookcomb.perm import (
 from .conftest import (
     all_permutations,
     brute_avoiders,
+    brute_occurrence,
     catalan,
     contains_pattern,
     descent_bottoms,
+    descent_tops,
     ltr_minima,
     perm,
 )
@@ -67,6 +68,20 @@ class TestPatterns:
         # the scan returns the lexicographically first one, 2, 4, 3
         assert contains_pattern(perm("2143"), PATTERN_132)
         assert find_occurrence(perm("2143"), PATTERN_132) == (1, 3, 4)
+
+    @pytest.mark.parametrize("sigma", ALL_S3, ids=str)
+    def test_agrees_with_brute_force(self, sigma):
+        """The replay of the extension rule and the refusal search give the
+        verdict and the lexicographically first occurrence of the scan over
+        every 3-subset of positions."""
+        for n in range(9):
+            for pi in all_permutations(n):
+                assert find_occurrence(pi, sigma) == brute_occurrence(pi, sigma), pi
+
+    def test_only_length_3_patterns(self):
+        for sigma in (Permutation(()), perm("21"), perm("1324")):
+            with pytest.raises(ValueError, match="not a length-3 pattern"):
+                find_occurrence(perm("2143"), sigma)
 
     def test_empty_pattern_trivially_contained(self):
         assert contains_pattern(perm("1"), Permutation(()))

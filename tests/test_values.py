@@ -60,3 +60,15 @@ def test_trusted_values_equal_checked_ones():
 def test_values_of_different_classes_differ():
     assert Interval(UD, UD, "S") != Interval(UD, UD, "C")
     assert MotzkinPath("UD") != Permutation((1, 2))
+
+
+def test_permutation_stores_a_tuple():
+    pi = Permutation([2, 1])
+    assert pi.entries == (2, 1) and pi == Permutation((2, 1))
+    assert hash(pi) == hash(Permutation((2, 1)))
+
+
+def test_motzkin_path_refuses_a_non_string():
+    for steps in (["U", "D"], ("U", "D"), None):
+        with pytest.raises(ValueError, match="step string"):
+            MotzkinPath(steps)
