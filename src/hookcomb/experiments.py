@@ -3,9 +3,13 @@
 The reduced-configuration triangle is no sweep: ``triangle`` reads it off
 the hook-weighted walk DP of ``walks``.  The exhaustive counts here
 (``reduced_count``, ``vhc_count_exhaustive``, the Tamari image) are the
-left sides of the identity checks; they sweep ``vhc.carriers``, the only
-avoiders with a configuration.  Everything is read-only over exact
-counts.  Checkers return lists of JSON-serializable report entries such as
+left sides of the identity checks.  They range over ``vhc.carriers``, the
+only avoiders with a configuration: the counts for a length-3 ``sigma'``
+in one memoized search that grows the carriers and sweeps their hooks
+together (``_carrier_count``), the other counts and the Tamari image by
+listing the configurations on each carrier.  Everything is read-only over
+exact counts.  Checkers return lists of JSON-serializable report entries
+such as
 
     {"check": "conjecture2", "k": 3, "lhs": "5", "rhs": "5", "verdict": "holds"}
 
@@ -22,8 +26,8 @@ from functools import lru_cache
 from itertools import accumulate, permutations
 from typing import NamedTuple
 
-from .perm import PATTERN_132, PATTERN_312, Permutation, bruhat_leq
-from .vhc import _carrier_pattern, carriers, enumerate_vhcs, is_reduced
+from .perm import PATTERN_132, PATTERN_312, Permutation, _guard3, bruhat_leq
+from .vhc import _carrier_pattern, carriers, enumerate_vhcs
 from .walks import _hook_slot, _walk_counts, count_walks, vhc312_series
 
 _TRIANGLE_LIMIT = 40
@@ -34,7 +38,8 @@ _TAMARI_LIMIT = 10
 #: and length 4 ``perm._guard_generic``
 _EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 1.8 s "
                               "(213: 0.6 s), and 1..4000 takes 11 s"),
-                     3: (12, "2.4 s for 132 at n = 12 and 8.2 s at 13"),
+                     3: (12, "count --pattern 132 --n 1..12 takes 0.15 s "
+                             "at a 15 MB peak, and n = 13 alone 0.15 s"),
                      4: (9, "3.4 s for 4231 at n = 9 and 31 s at 10")}
 _MIN_FIT_POINTS = 50
 
@@ -57,20 +62,91 @@ def _check_exhaustive(n: int, pattern: Permutation) -> None:
 
 @lru_cache(maxsize=None)
 def vhc_count_exhaustive(n: int, pattern: Permutation) -> int:
-    """Number of configurations on ``pattern``-avoiders of size ``n``,
-    by direct enumeration over the ``carriers``."""
+    """Number of configurations on ``pattern``-avoiders of size ``n``.
+
+    When ``sigma'`` (``vhc._carrier_pattern``) has length 3 and ``n >= 1``
+    they are counted, not listed, by ``_carrier_count``; otherwise each of
+    the ``carriers`` runs ``enumerate_vhcs``.  The two agree for every
+    pattern with a length-3 ``sigma'`` and length at most 4 at every
+    ``n <= 9`` in the tests, and the count for 132 equals the number of
+    T-intervals one size down for every ``n <= 12``.
+    """
     _check_exhaustive(n, pattern)
+    if n > 0 and _carrier_pattern(pattern).n == 3:
+        return _carrier_count(n, pattern, reduced=False)
     return sum(
         sum(1 for _ in enumerate_vhcs(pi)) for pi in carriers(n, pattern)
     )
 
 
 def reduced_count(n: int) -> int:
-    """Number of reduced configurations on 312-avoiders of size ``n``, by
-    direct enumeration (the left side of ``check_eq2``)."""
-    return sum(
-        is_reduced(v) for pi in carriers(n, PATTERN_312) for v in enumerate_vhcs(pi)
-    )
+    """Number of reduced configurations on 312-avoiders of size ``n`` (the
+    left side of ``check_eq2``), counted by ``_carrier_count``; the empty
+    configuration is reduced.  Equal to the ``is_reduced`` filter over
+    ``enumerate_vhcs`` on the ``carriers`` for every ``n <= 11`` in the
+    tests."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _carrier_count(n, PATTERN_312, reduced=True) if n else 1
+
+
+def _carrier_count(n: int, pattern: Permutation, reduced: bool) -> int:
+    """Configurations on ``carriers(n, pattern)``, for ``n >= 1`` and a
+    length-3 ``sigma'``; with ``reduced``, only the reduced ones.
+
+    One depth-first search grows ``tau``, the carrier less its last point
+    ``n``, by the extension rule ``perm._guard3``, and runs the sweep of
+    ``vhc._matching`` alongside: the point before a lower one is a descent
+    top and opens a hook, and a point that tops the innermost open hook's
+    descent top closes that hook, or does not (the close rule of ``vhc``).
+    ``n`` can then close one last hook.  The count below a prefix depends
+    only on what the rest of the search reads, so it is memoized on that:
+    the used values (all that ``_guard3`` reads), the last value and the
+    descent tops of the open hooks (the comparisons of the sweep), and, for
+    ``reduced``, whether the last point is still neither a hook endpoint
+    nor a descent bottom, so that it must be a descent top.  Each of these
+    values is compared only with unused ones, so it enters the key as the
+    number of unused values below it, which merges more prefixes.  The key
+    is one int: a 1 bit, those ranks in fixed-width fields, the flag, and
+    the used values as a bit mask.  At n = 12 the memo holds 8196 entries
+    for 132.
+    """
+    used = bytearray(n)  # the values 1..n-1 of tau
+    allows = _guard3(_carrier_pattern(pattern).entries, used)
+    width = n.bit_length()
+    memo: dict[int, int] = {}
+
+    def count(depth: int, mask: int, last: int, tops: tuple[int, ...],
+              bare: bool) -> int:
+        if len(tops) > n - depth:
+            return 0  # each point left closes at most one hook
+        if depth == n - 1:
+            # n closes the innermost hook; a reduced configuration needs it
+            # to, since n is no descent bottom or top
+            return int(len(tops) == 1 and not bare) if reduced else 1
+        key = 1
+        for v in (*tops, last):
+            key = key << width | used.count(0, 1, v)
+        key = (key << 1 | bare) << n | mask
+        total = memo.get(key)
+        if total is not None:
+            return total
+        total = 0
+        for x in range(1, n):
+            if used[x] or not allows(x):
+                continue
+            used[x] = 1
+            if last > x:  # a descent: a hook opens at last
+                total += count(depth + 1, mask | 1 << x, x, (*tops, last), False)
+            elif not bare:
+                if tops and x > tops[-1]:
+                    total += count(depth + 1, mask | 1 << x, x, tops[:-1], False)
+                total += count(depth + 1, mask | 1 << x, x, tops, reduced)
+            used[x] = 0
+        memo[key] = total
+        return total
+
+    return count(0, 0, 0, (), False)
 
 
 def _reduced_series(walks: tuple[int, ...]) -> list[int]:
@@ -150,7 +226,7 @@ def check_eq2(n_max: int, k_max: int) -> list[dict]:
         raise ValueError("n_max must be >= 0")
     if n_max > _EQ2_LIMIT:
         raise ValueError(f"exhaustive reduced counts capped at n <= {_EQ2_LIMIT}: "
-                         f"0.7 s at n = 11 and 3.2 s at 12 on a 2-core Xeon")
+                         f"0.02 s at n = 11 and 0.04 s at 12 on a 2-core Xeon")
     rows = triangle(k_max)
     formula = _reduced_series(count_walks(max(n_max - 1, 0)))
     report = [

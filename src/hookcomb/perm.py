@@ -188,7 +188,13 @@ def _order_isomorphic(word: tuple[int, ...], sig: tuple[int, ...]) -> bool:
 
 def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
     """All ``sigma``-avoiding permutations of size ``n``, in lexicographic
-    order of one-line notation.
+    order of one-line notation: the words of ``_avoider_words``."""
+    return map(Permutation._trusted, _avoider_words(n, sigma))
+
+
+def _avoider_words(n: int, sigma: Permutation) -> Iterator[tuple[int, ...]]:
+    """The entry tuples of the ``sigma``-avoiders of size ``n``, in
+    lexicographic order.
 
     Generation is by backtracking over one-line prefixes, trying values in
     increasing order.  For a pattern of length 3 the search has no dead
@@ -214,11 +220,10 @@ def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
     if sigma.n == 0:
         return  # the empty pattern occurs in everything, even the empty word
     if n == 0:
-        yield Permutation(())
+        yield ()
         return
     if sigma.n == 2:
-        word = range(1, n + 1) if sigma.entries == (2, 1) else range(n, 0, -1)
-        yield Permutation._trusted(tuple(word))
+        yield tuple(range(1, n + 1) if sigma.entries == (2, 1) else range(n, 0, -1))
         return
 
     used = bytearray(n + 1)
@@ -228,9 +233,9 @@ def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
     else:
         allows = _guard_generic(sigma.entries, prefix)
 
-    def rec() -> Iterator[Permutation]:
+    def rec() -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
-            yield Permutation._trusted(tuple(prefix))
+            yield tuple(prefix)
             return
         for v in range(1, n + 1):
             if used[v] or not allows(v):

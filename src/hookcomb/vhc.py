@@ -16,9 +16,18 @@ descent tops (as ``(``) and ``V`` (as ``)``), with the close listed before
 the open at a point playing both roles.  A close is allowed iff the closing
 point lies above every point from the hook's southwest end onward.  So a
 ``Vhc`` stores only ``(pi, V)``: its constructor, ``validate`` and
-``enumerate_vhcs`` run this one sweep without drawing a hook, and the
-``matching`` property draws them on demand.  The tests keep a geometric
-oracle that tries every assignment and draws the hooks.
+``enumerate_vhcs`` run this one sweep without drawing a hook, the
+``matching`` property draws them on demand, and the counting search of
+``experiments`` runs the sweep on a word as the word grows.  The tests keep
+a geometric oracle that tries every assignment and draws the hooks.
+
+The close rule: in this sweep a close is one comparison, since a point that
+tops the innermost open hook's descent top tops every point after it too.
+Were the highest point ``p`` strictly between them above the closing
+point, the point after ``p`` would be lower, so ``p`` would be a descent
+top whose hook opened inside the closing one.  That hook has closed, as
+the closing one is innermost, and on a point above ``p`` before the
+closing point, which cannot be.
 
 ``Vhc`` values are immutable and valid by construction: ``Vhc(pi, V)``
 raises ``ValueError`` on a set that is no configuration, and ``validate``
@@ -31,7 +40,7 @@ import json
 from typing import Iterable, Iterator, NamedTuple
 
 from .frozen import Frozen
-from .perm import Permutation, Point, avoiders, descents
+from .perm import Permutation, Point, _avoider_words, avoiders, descents
 
 
 class Hook(NamedTuple):
@@ -98,14 +107,15 @@ def _matching(ent: tuple[int, ...], ne: frozenset[int]) -> list[tuple[int, int]]
     One left-to-right sweep keeps the stack of open southwest positions: a
     point in ``ne`` closes the innermost open hook (close before open at a
     shared point) and a descent top opens one.  A close is allowed iff the
-    point tops the hook's descent top and every point between; a refused
-    or unmatched close, or a hook left open, means no configuration.
+    point tops the hook's descent top (the close rule of the module
+    docstring); a refused or unmatched close, or a hook left open, means no
+    configuration.
     """
     opened: list[int] = []
     pairs: list[tuple[int, int]] = []
     for i, v in enumerate(ent):
         if i + 1 in ne:
-            if not opened or v < max(ent[(s := opened.pop()):i]):
+            if not opened or v < ent[(s := opened.pop())]:
                 return None
             pairs.append((s, i))
         if i + 1 < len(ent) and v > ent[i + 1]:
@@ -126,8 +136,8 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[Vhc]:
 
     The sweep of ``_matching`` with both choices at each point, run from
     an explicit stack of ``(position, open hooks, NE endpoints)``: the
-    innermost open hook closes when the rule allows, or it does not.  The
-    close branch is pushed last, so it is taken first, and each
+    innermost open hook closes when the close rule allows, or it does not.
+    The close branch is pushed last, so it is taken first, and each
     configuration is yielded as the sweep reaches it.  That order is
     lexicographic because every configuration on ``pi`` has one NE
     endpoint per descent top, so no NE tuple is a prefix of another.
@@ -146,7 +156,7 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[Vhc]:
             continue
         top = (i,) if i + 1 < n and ent[i] > ent[i + 1] else ()
         stack.append((i + 1, opened + top, ne))
-        if opened and ent[i] > max(ent[opened[-1]:i]):
+        if opened and ent[i] > ent[opened[-1]]:
             stack.append((i + 1, opened[:-1] + top, ne + (i + 1,)))
 
 
@@ -173,8 +183,8 @@ def carriers(n: int, sigma: Permutation) -> Iterator[Permutation]:
     if n == 0:
         yield from avoiders(0, sigma)
         return
-    for tau in avoiders(n - 1, _carrier_pattern(sigma)):
-        yield Permutation._trusted(tau.entries + (n,))
+    for tau in _avoider_words(n - 1, _carrier_pattern(sigma)):
+        yield Permutation._trusted(tau + (n,))
 
 
 # --- reduction -------------------------------------------------------------

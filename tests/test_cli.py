@@ -182,8 +182,8 @@ class TestCount:
 
     @pytest.mark.parametrize(
         "argv,cap,cost",
-        [(["--pattern", "132", "--n", "1..13"], 12, "8.2 s at 13"),
-         (["--pattern", "312", "--n", "13", "--method", "enumerate"], 12, "8.2 s at 13"),
+        [(["--pattern", "132", "--n", "1..13"], 12, "n = 13 alone 0.15 s"),
+         (["--pattern", "312", "--n", "13", "--method", "enumerate"], 12, "n = 13 alone 0.15 s"),
          (["--pattern", "2413", "--n", "0..10", "--output", "csv"], 9, "31 s at 10"),
          (["--pattern", "213", "--n", "2001"], 2000, "1..4000 takes 11 s")],
         ids=["132", "312-enumerate", "2413", "213"],  # stable when a cost is re-measured
@@ -305,7 +305,7 @@ class TestSequencesAndChecks:
     def test_conjectures_over_cap_fails_fast(self):
         proc = run("check", "--suite", "conjectures", "--nmax", "13", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "capped at n <= 12" in proc.stderr and "8.2 s at 13" in proc.stderr
+        assert "capped at n <= 12" in proc.stderr and "n = 13 alone 0.15 s" in proc.stderr
 
     @pytest.mark.parametrize(
         "suite,nmax",

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from hookcomb.experiments import (
     _TAMARI_LIMIT,
     _TRIANGLE_LIMIT,
     AsymptoticFit,
+    _carrier_count,
     _reduced_series,
     asymptotic_fit,
     catalan,
@@ -21,9 +23,9 @@ from hookcomb.experiments import (
     triangle,
     vhc_count_exhaustive,
 )
-from hookcomb.motzkin import _INTERVAL_LIMIT, enumerate_intervals
-from hookcomb.perm import PATTERN_312
-from hookcomb.vhc import is_reduced
+from hookcomb.motzkin import _INTERVAL_LIMIT, count_intervals, enumerate_intervals
+from hookcomb.perm import PATTERN_132, PATTERN_312
+from hookcomb.vhc import _carrier_pattern, carriers, enumerate_vhcs, is_reduced
 from hookcomb.walks import _KMAX_LIMIT, _hook_slot, _walk_counts, count_walks
 
 from .conftest import (
@@ -141,6 +143,64 @@ class TestCarrierSweeps:
         for n in range(10):
             expected = sum(map(is_reduced, configurations_on_avoiders(n, PATTERN_312)))
             assert reduced_count(n) == expected, n
+
+
+#: the patterns whose sigma' has length 3: the four in S3 that do not end
+#: in 3, and the six of length 4 that end in 4
+COUNTED_PATTERNS = tuple(
+    sigma
+    for sigma in (*all_permutations(3), *(perm(f"{p}4") for p in all_permutations(3)))
+    if _carrier_pattern(sigma).n == 3
+)
+#: the count for 132 at its cap, n = 12, took 0.06 s in a fresh process
+#: on a 2-core Xeon (1.7 s when every configuration was listed)
+COUNT_AT_CAP_BUDGET_S = 1.0
+
+
+def listed_count(n: int, sigma, reduced: bool) -> int:
+    """Oracle for ``_carrier_count``: list the configurations on every
+    carrier and keep the reduced ones when asked."""
+    return sum(
+        not reduced or is_reduced(v)
+        for pi in carriers(n, sigma)
+        for v in enumerate_vhcs(pi)
+    )
+
+
+class TestCarrierCount:
+    """The memoized count against listing every configuration."""
+
+    @pytest.mark.parametrize("sigma", COUNTED_PATTERNS, ids=str)
+    def test_count(self, sigma):
+        for n in range(1, 10):
+            assert _carrier_count(n, sigma, reduced=False) == listed_count(n, sigma, False), n
+
+    @pytest.mark.parametrize("sigma", COUNTED_PATTERNS, ids=str)
+    def test_reduced_count(self, sigma):
+        for n in range(1, 9):
+            assert _carrier_count(n, sigma, reduced=True) == listed_count(n, sigma, True), n
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_reduced_count_312(self, n):
+        assert _carrier_count(n, PATTERN_312, reduced=True) == listed_count(n, PATTERN_312, True)
+
+    def test_132_counts_the_tamari_intervals(self):
+        """An oracle through the paper's bijection: the configurations on
+        132-avoiders of size n match the T-intervals of length n - 1."""
+        for n in range(1, _EXHAUSTIVE_LIMIT[3][0] + 1):
+            assert vhc_count_exhaustive(n, PATTERN_132) == count_intervals("T", n - 1), n
+
+    def test_negative_size_raises(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            vhc_count_exhaustive(-1, PATTERN_132)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            reduced_count(-1)
+
+    def test_132_at_the_cap_within_budget(self):
+        start = time.perf_counter()
+        count = _carrier_count(_EXHAUSTIVE_LIMIT[3][0], PATTERN_132, reduced=False)
+        assert time.perf_counter() - start < COUNT_AT_CAP_BUDGET_S
+        assert count == count_intervals("T", _EXHAUSTIVE_LIMIT[3][0] - 1)
 
 
 class TestExhaustiveCaps:
