@@ -31,13 +31,12 @@ from .vhc import _carrier_pattern, carriers, enumerate_vhcs
 from .walks import _hook_slot, _walk_counts, count_walks, vhc312_series
 
 _TRIANGLE_LIMIT = 40
-_EQ2_LIMIT = 11
 _TAMARI_LIMIT = 10
 #: largest n of an exhaustive count, and its cost, by the length of sigma'
 #: (``vhc._carrier_pattern``) clamped to 2..4; length 3 runs ``perm._guard3``
 #: and length 4 ``perm._guard_generic``
-_EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 1.8 s "
-                              "(213: 0.6 s), and 1..4000 takes 11 s"),
+_EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 0.4 s "
+                              "(213: 0.9 s), and 1..4000 takes 2.5 s"),
                      3: (12, "count --pattern 132 --n 1..12 takes 0.15 s "
                              "at a 15 MB peak, and n = 13 alone 0.15 s"),
                      4: (9, "3.4 s for 4231 at n = 9 and 31 s at 10")}
@@ -82,9 +81,9 @@ def vhc_count_exhaustive(n: int, pattern: Permutation) -> int:
 def reduced_count(n: int) -> int:
     """Number of reduced configurations on 312-avoiders of size ``n`` (the
     left side of ``check_eq2``), counted by ``_carrier_count``; the empty
-    configuration is reduced.  Equal to the ``is_reduced`` filter over
-    ``enumerate_vhcs`` on the ``carriers`` for every ``n <= 11`` in the
-    tests."""
+    configuration is reduced.  Equal to the reduced filter of
+    ``tests/conftest.py`` over ``enumerate_vhcs`` on the ``carriers`` for
+    every ``n <= 11``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return _carrier_count(n, PATTERN_312, reduced=True) if n else 1
@@ -173,12 +172,13 @@ def triangle(k_max: int) -> list[TriangleRow]:
 
     Through ``ll_map`` and ``phi`` the hooks of a configuration become the
     U letters of the lower path, that is the y-raising steps of its walk,
-    and ``restrict`` keeps every hook, so the identity of ``check_eq2``
-    refines by hook count: ``reduced(n, h) = sum((-1)^i * w(n-1-i, h))``
-    with ``w(-1, 0) = 1``, ``w(k, h)`` counting closed walks with ``h``
-    y-raising steps.  With each such step weighted by ``Z = 2^b`` term
-    ``n`` of ``_reduced_series`` holds every ``reduced(n, h)`` in its
-    ``b``-bit slot ``h`` (each is at most ``w(n-1, h) < Z``, since
+    and restricting to the hook endpoints and descent bottoms keeps every
+    hook, so the identity of ``check_eq2`` refines by hook count:
+    ``reduced(n, h) = sum((-1)^i * w(n-1-i, h))`` with ``w(-1, 0) = 1``,
+    ``w(k, h)`` counting closed walks with ``h`` y-raising steps.  With
+    each such step weighted by ``Z = 2^b`` term ``n`` of
+    ``_reduced_series`` holds every ``reduced(n, h)`` in its ``b``-bit
+    slot ``h`` (each is at most ``w(n-1, h) < Z``, since
     ``reduced(n) = w(n-1) - reduced(n-1)``); entry ``i`` of row ``k`` is
     slot ``k`` at ``n = 2k+i``.  Checked against exhaustive hook histograms
     for every ``(n, h)`` with ``n <= 12``, and the diagonal against the 3-D
@@ -224,9 +224,7 @@ def check_eq2(n_max: int, k_max: int) -> list[dict]:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_max > _EQ2_LIMIT:
-        raise ValueError(f"exhaustive reduced counts capped at n <= {_EQ2_LIMIT}: "
-                         f"0.02 s at n = 11 and 0.04 s at 12 on a 2-core Xeon")
+    _check_exhaustive(n_max, PATTERN_312)  # reduced_count runs the same search
     rows = triangle(k_max)
     formula = _reduced_series(count_walks(max(n_max - 1, 0)))
     report = [
@@ -247,7 +245,7 @@ def check_tamari_image(n_max: int) -> list[dict]:
     """The transferred-then-encoded configurations on 132-avoiders hit
     exactly the lng-order intervals one size down, bijectively."""
     # the only check that needs the maps, so the others never load them
-    from .maps import _ll_frame, _ll_map, _w_map
+    from .maps import _ll_map, _w_map
     from .motzkin import enumerate_intervals
 
     if n_max < 1:
@@ -262,7 +260,7 @@ def check_tamari_image(n_max: int) -> list[dict]:
         for tau in carriers(n, PATTERN_132):
             for v in enumerate_vhcs(tau):
                 count += 1
-                interval = _ll_map(_ll_frame(_w_map(v)))  # valid by construction
+                interval = _ll_map(_w_map(v))  # valid by construction
                 image.add((interval.lower.steps, interval.upper.steps))
         tamari = {
             (iv.lower.steps, iv.upper.steps)

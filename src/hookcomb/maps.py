@@ -21,7 +21,8 @@ The three families of maps implemented here:
   (horizontal gaps for the lower path, vertical gaps for the upper one).
   It is a bijection onto the class-order intervals, which ``ll_inverse``
   undoes by construction; ``phi`` further re-encodes an interval as a
-  step-restricted pair of paths.
+  step-restricted pair of paths, and ``phi_inverse`` writes the upper path
+  back from its support and its class.
 
 Public functions check their permutation's pattern class once; a ``Vhc``
 is valid by construction, so no function here checks a configuration
@@ -38,7 +39,6 @@ from .motzkin import (
     MotzkinPath,
     leq,
     path_class,
-    reconstruct,
     support,
 )
 from .perm import (
@@ -182,37 +182,6 @@ def w_map_left_inverse(w: Vhc) -> PullbackResult:
 # --- interval codes --------------------------------------------------------
 
 
-class LLFrame(NamedTuple):
-    """Left-to-right maxima of a 312-avoider read right to left, with the
-    gap counts between consecutive maxima.
-
-    ``maxima`` runs from the top corner ``(n, n)`` down to the sentinel
-    ``(0, 0)``; ``gammas[i]`` counts plot points strictly between maxima
-    ``i+1`` and ``i`` horizontally, ``gamma_primes[i]`` counts points
-    strictly between maxima ``i+2`` and ``i+1`` vertically, and
-    ``letters[i]`` is ``U`` or ``E`` according to whether maximum ``i`` is
-    a northeast hook endpoint.
-    """
-
-    maxima: tuple[Point, ...]
-    gammas: tuple[int, ...]
-    gamma_primes: tuple[int, ...]
-    letters: tuple[str, ...]
-
-
-def _ll_frame(v: Vhc) -> LLFrame:
-    pi = v.pi
-    maxima = tuple(reversed(ltr_maxima(pi))) + (Point(0, 0),)
-    # every index and every value holds one point, so a gap is a difference
-    right, left, below = maxima[:-2], maxima[1:-1], maxima[2:]
-    return LLFrame(
-        maxima,
-        tuple(r.index - m.index - 1 for r, m in zip(right, left)),
-        tuple(m.value - b.value - 1 for m, b in zip(left, below)),
-        tuple("U" if r.index in v.ne_set else "E" for r in right),
-    )
-
-
 def ll_map(v: Vhc) -> Interval:
     """Encode a configuration on a 312-avoider as a class-order interval.
 
@@ -222,21 +191,31 @@ def ll_map(v: Vhc) -> Interval:
     """
     if v.pi.n < 1:
         raise ValueError("frame needs a nonempty permutation")
-    # the frame is the step that needs the class, and the refusal names it
+    # the refusal names the frame of maxima and gaps, the step that needs
+    # the class
     _require_avoiding(v.pi, PATTERN_312, "ll_frame")
-    return _ll_map(_ll_frame(v))
+    return _ll_map(v)
 
 
-def _ll_map(frame: LLFrame) -> Interval:
-    """Built unchecked, the interval and its paths: both paths carry the
-    frame's letters, so they share a class, and the lower one's heights
-    are nowhere above the upper one's (the tests rebuild every image
-    through ``MotzkinPath(...)`` and ``Interval(...)`` for n <= 8)."""
-    lower, upper = (
-        MotzkinPath._trusted("".join(x + "D" * g for x, g in zip(frame.letters, gaps)))
-        for gaps in (frame.gammas, frame.gamma_primes)
-    )
-    return Interval._trusted(lower, upper, "C")
+def _ll_map(v: Vhc) -> Interval:
+    """``ll_map`` of a configuration on a 312-avoider, unchecked.  The
+    left-to-right maxima run right to left from ``(n, n)`` to a sentinel
+    ``(0, 0)``, and each but the last two writes its letter (``U`` for a
+    northeast endpoint) to both paths, then one ``D`` per point strictly
+    between it and the next maximum horizontally (lower path) or between
+    the next two vertically (upper path); as every index and value holds
+    one point, a gap is a difference.  Both paths carry the same letters,
+    so they share a class, and the lower one's heights are nowhere above
+    the upper one's (the tests rebuild every image through
+    ``MotzkinPath(...)`` and ``Interval(...)`` for n <= 8)."""
+    maxima = (*reversed(ltr_maxima(v.pi)), Point(0, 0))
+    lower, upper = [], []
+    for right, left, below in zip(maxima, maxima[1:], maxima[2:]):
+        letter = "U" if right.index in v.ne_set else "E"
+        lower.append(letter + "D" * (right.index - left.index - 1))
+        upper.append(letter + "D" * (left.value - below.value - 1))
+    trusted = MotzkinPath._trusted
+    return Interval._trusted(trusted("".join(lower)), trusted("".join(upper)), "C")
 
 
 def ll_inverse(interval: Interval) -> Vhc | None:
@@ -298,19 +277,21 @@ def phi(interval: Interval) -> tuple[MotzkinPath, MotzkinPath]:
 
 
 def phi_inverse(x: MotzkinPath, y: MotzkinPath) -> Interval:
-    """Invert ``phi``: rebuild the upper path by overriding the support of
-    ``y`` wherever ``x`` is not flat.  Raises on pairs with a forbidden
-    coordinatewise step.  The interval is built unchecked: ``phi`` is a
-    bijection from the C-intervals onto the allowed pairs, so the upper
-    path exists and lies above ``y`` (the tests rebuild it through
-    ``Interval(...)`` for every allowed pair of length n <= 7)."""
+    """Invert ``phi``: the upper path's support is the support of ``y``
+    overridden wherever ``x`` is not flat, and its class is ``y``'s, so its
+    ``u`` letters are, in order, the letters of that class.  Raises on
+    pairs with a forbidden coordinatewise step.  The interval is built
+    unchecked: ``phi`` is a bijection from the C-intervals onto the
+    allowed pairs, so the upper path exists and lies above ``y`` (the
+    tests rebuild it through ``Interval(...)`` for every allowed pair of
+    length n <= 7)."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     for a, b in zip(x.steps, y.steps):
         if (a, b) not in ALLOWED_STEP_PAIRS:
             raise ValueError(f"forbidden step pair ({a}, {b})")
-    sy = support(y)
-    target = "".join(
-        "u" if a == "U" else "d" if a == "D" else s for a, s in zip(x.steps, sy)
-    )
-    return Interval._trusted(y, reconstruct(path_class(y), target), "C")
+    target = ("u" if a == "U" else "d" if a == "D" else s
+              for a, s in zip(x.steps, support(y)))
+    letters = iter(path_class(y))
+    upper = "".join(next(letters) if t == "u" else "D" for t in target)
+    return Interval._trusted(y, MotzkinPath._trusted(upper), "C")

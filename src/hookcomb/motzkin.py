@@ -13,7 +13,9 @@ Three statistics drive the orders implemented here:
   substring starting at ``Xi`` that is itself a Motzkin path (1 when
   ``Xi = E``, at least 2 when ``Xi = U``);
 * the *support* is the Dyck prefix obtained by sending ``U, E`` to ``u``
-  and ``D`` to ``d``.  A path is recoverable from its class and support.
+  and ``D`` to ``d``.  A path is recoverable from its class and support:
+  its ``u`` letters, in order, are its class.  ``tests/conftest.py``
+  rebuilds every path of length ``n <= 8`` that way.
 
 The orders, each strictly finer than the previous:
 
@@ -43,14 +45,6 @@ _INTERVAL_LIMIT = {"S": (11, "listing takes 10 s at n = 11, counting 4.2 s"),
 _DISPLACEMENT = {"U": 1, "E": 0, "D": -1}
 
 
-def step_displacement(step: str) -> int:
-    """Height change of a single step: U -> 1, E -> 0, D -> -1."""
-    try:
-        return _DISPLACEMENT[step]
-    except KeyError:
-        raise ValueError(f"not a Motzkin step: {step!r}") from None
-
-
 class MotzkinPath(Frozen):
     """An immutable Motzkin path, stored as its step string.
 
@@ -70,7 +64,10 @@ class MotzkinPath(Frozen):
             raise ValueError(f"a Motzkin path is a step string, not {steps!r}")
         h = 0
         for s in steps:
-            h += step_displacement(s)
+            try:
+                h += _DISPLACEMENT[s]
+            except KeyError:
+                raise ValueError(f"not a Motzkin step: {s!r}") from None
             if h < 0:
                 raise ValueError(f"path dips below the axis: {steps!r}")
         if h != 0:
@@ -120,38 +117,6 @@ def lng_all(p: MotzkinPath) -> tuple[int, ...]:
 def support(p: MotzkinPath) -> str:
     """Dyck-prefix shadow: U, E -> u and D -> d."""
     return "".join("d" if s == "D" else "u" for s in p.steps)
-
-
-def is_dyck_prefix(word: str) -> bool:
-    """True for words over {u, d} whose prefixes never have more d than u."""
-    h = 0
-    for ch in word:
-        if ch == "u":
-            h += 1
-        elif ch == "d":
-            h -= 1
-        else:
-            return False
-        if h < 0:
-            return False
-    return True
-
-
-def reconstruct(cls_word: str, supp: str) -> MotzkinPath | None:
-    """Rebuild the path with the given class and support, or ``None`` when
-    the pair is inconsistent."""
-    if not is_dyck_prefix(supp):
-        return None
-    if any(ch not in "UE" for ch in cls_word):
-        return None
-    if sum(1 for ch in supp if ch == "u") != len(cls_word):
-        return None
-    letters = iter(cls_word)
-    steps = "".join("D" if ch == "d" else next(letters) for ch in supp)
-    try:
-        return MotzkinPath(steps)
-    except ValueError:
-        return None
 
 
 def _comparison(order: str):

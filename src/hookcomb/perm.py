@@ -98,10 +98,6 @@ class Permutation(Frozen):
         return tuple(Point(i + 1, v) for i, v in enumerate(self.entries))
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def from_text(cls, text: str) -> "Permutation":
         """Parse one-line notation, with or without commas.
 
@@ -295,12 +291,6 @@ def _guard_generic(sig: tuple[int, ...], prefix: list[int]) -> Callable[[int], b
         return True
 
     return allows
-
-
-def descents(pi: Permutation) -> tuple[int, ...]:
-    """Positions ``i`` with ``p(i) > p(i+1)``."""
-    ent = pi.entries
-    return tuple(i + 1 for i in range(pi.n - 1) if ent[i] > ent[i + 1])
 
 
 def ltr_maxima(pi: Permutation) -> tuple[Point, ...]:

@@ -1,4 +1,4 @@
-"""Valid hook configurations: validation, enumeration, and reduction.
+"""Valid hook configurations: validation and enumeration.
 
 A *hook* on a permutation plot runs from a southwest endpoint ``(i, p(i))``
 straight up and then right to a northeast endpoint ``(j, p(j))``, which
@@ -40,7 +40,7 @@ import json
 from typing import Iterable, Iterator, NamedTuple
 
 from .frozen import Frozen
-from .perm import Permutation, Point, _avoider_words, avoiders, descents
+from .perm import Permutation, Point, _avoider_words, avoiders
 
 
 class Hook(NamedTuple):
@@ -135,29 +135,34 @@ def enumerate_vhcs(pi: Permutation) -> Iterator[Vhc]:
     by sorted NE-endpoint indices.
 
     The sweep of ``_matching`` with both choices at each point, run from
-    an explicit stack of ``(position, open hooks, NE endpoints)``: the
-    innermost open hook closes when the close rule allows, or it does not.
-    The close branch is pushed last, so it is taken first, and each
-    configuration is yielded as the sweep reaches it.  That order is
-    lexicographic because every configuration on ``pi`` has one NE
-    endpoint per descent top, so no NE tuple is a prefix of another.
+    an explicit stack of ``(position, open hooks, their number, NE
+    endpoints)``: the innermost open hook closes when the close rule
+    allows, or it does not.  The open hooks are a linked stack
+    ``(innermost, rest)``, ``()`` when empty, whose tails the branches
+    share, so a step costs the same however many hooks are open.  The close
+    branch is pushed last, so it is taken first, and each configuration is
+    yielded as the sweep reaches it.  That order is lexicographic because
+    every configuration on ``pi`` has one NE endpoint per descent top, so
+    no NE tuple is a prefix of another.
     """
     n = pi.n
     ent = pi.entries
     if n and ent[-1] != n:
         return  # the maximal value would be a hookless descent top
-    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
+    stack: list[tuple[int, tuple, int, tuple[int, ...]]] = [(0, (), 0, ())]
     while stack:
-        i, opened, ne = stack.pop()
-        if len(opened) > n - i:
+        i, opened, depth, ne = stack.pop()
+        if depth > n - i:
             continue  # not enough points left to close the open hooks
         if i == n:
             yield Vhc._trusted(pi, frozenset(ne))
             continue
-        top = (i,) if i + 1 < n and ent[i] > ent[i + 1] else ()
-        stack.append((i + 1, opened + top, ne))
-        if opened and ent[i] > ent[opened[-1]]:
-            stack.append((i + 1, opened[:-1] + top, ne + (i + 1,)))
+        top = i + 1 < n and ent[i] > ent[i + 1]
+        stack.append((i + 1, (i, opened) if top else opened, depth + top, ne))
+        if opened and ent[i] > ent[opened[0]]:
+            rest = opened[1]
+            stack.append((i + 1, (i, rest) if top else rest, depth - 1 + top,
+                          ne + (i + 1,)))
 
 
 def _carrier_pattern(sigma: Permutation) -> Permutation:
@@ -186,36 +191,3 @@ def carriers(n: int, sigma: Permutation) -> Iterator[Permutation]:
     for tau in _avoider_words(n - 1, _carrier_pattern(sigma)):
         yield Permutation._trusted(tau + (n,))
 
-
-# --- reduction -------------------------------------------------------------
-
-
-def _kept(v: Vhc) -> set[int]:
-    """Indices of the hook endpoints (the NE set and the descent tops) and
-    the descent bottoms."""
-    kept = set(v.ne_set)
-    for i in descents(v.pi):
-        kept.update((i, i + 1))
-    return kept
-
-
-def is_reduced(v: Vhc) -> bool:
-    """True when every plot point is a hook endpoint or a descent bottom."""
-    return len(_kept(v)) == v.pi.n
-
-
-def restrict(v: Vhc) -> tuple[Vhc, tuple[int, ...]]:
-    """Restrict to the hook endpoints and descent bottoms.
-
-    Removes every point that is neither, renormalizes the survivors to a
-    permutation of their count, and returns the restricted configuration
-    together with the sorted tuple of surviving indices.  The result is
-    always reduced.
-    """
-    kept = sorted(_kept(v))
-    values = [v.pi.value_at(i) for i in kept]
-    ranks = {val: r + 1 for r, val in enumerate(sorted(values))}
-    sub = Permutation._trusted(tuple(ranks[val] for val in values))
-    position = {old: new + 1 for new, old in enumerate(kept)}
-    sub_ne = frozenset(position[i] for i in v.ne_set)
-    return Vhc._trusted(sub, sub_ne), tuple(kept)

@@ -4,9 +4,11 @@ The brute-force helpers here are deliberately dumb: they filter full
 symmetric groups or full step products so that the package's pruned
 generators and dynamic programs have something independent to agree with.
 The geometric validator, the pattern test, the single-height slides, the
-pivot points and the Dyck-prefix order are oracles only, and the descent
-tops and bottoms and the left-to-right minima are read only by tests, so they
-live here rather than in the package.
+pivot points, the frame of ``ll_map``, the rebuilding of a path from its
+class and support, and the Dyck-prefix order are oracles only, and the
+identity permutation, the descents, the reduction of a configuration and
+the left-to-right minima are read only by tests, so they live here rather
+than in the package.
 """
 
 from __future__ import annotations
@@ -14,25 +16,29 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import pytest
 
 from hookcomb.maps import _slide, _stripes
-from hookcomb.motzkin import enumerate_paths
-from hookcomb.perm import (
-    PATTERN_312,
-    Permutation,
-    Point,
-    avoiders,
-    descents,
-)
-from hookcomb.vhc import Hook, Vhc, _checked_ne, enumerate_vhcs, is_reduced
+from hookcomb.motzkin import MotzkinPath, enumerate_paths
+from hookcomb.perm import PATTERN_312, Permutation, Point, avoiders
+from hookcomb.vhc import Hook, Vhc, _checked_ne, enumerate_vhcs
 from hookcomb.walks import ALLOWED_STEP_PAIRS, STEPS, count_walks
 
 
 def perm(text: str) -> Permutation:
     return Permutation.from_text(text)
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def descents(pi: Permutation) -> tuple[int, ...]:
+    """Positions ``i`` with ``p(i) > p(i+1)``."""
+    ent = pi.entries
+    return tuple(i + 1 for i in range(pi.n - 1) if ent[i] > ent[i + 1])
 
 
 def catalan(m: int) -> int:
@@ -314,6 +320,41 @@ def ltr_minima(pi: Permutation) -> tuple[Point, ...]:
     return tuple(out)
 
 
+# --- reduction -------------------------------------------------------------
+
+
+def _kept(v: Vhc) -> set[int]:
+    """Indices of the hook endpoints (the NE set and the descent tops) and
+    the descent bottoms."""
+    kept = set(v.ne_set)
+    for i in descents(v.pi):
+        kept.update((i, i + 1))
+    return kept
+
+
+def is_reduced(v: Vhc) -> bool:
+    """True when every plot point is a hook endpoint or a descent bottom:
+    the filter that ``experiments.reduced_count`` counts."""
+    return len(_kept(v)) == v.pi.n
+
+
+def restrict(v: Vhc) -> tuple[Vhc, tuple[int, ...]]:
+    """Restrict to the hook endpoints and descent bottoms.
+
+    Removes every point that is neither, renormalizes the survivors to a
+    permutation of their count, and returns the restricted configuration
+    together with the sorted tuple of surviving indices.  The result is
+    always reduced.
+    """
+    kept = sorted(_kept(v))
+    values = [v.pi.value_at(i) for i in kept]
+    ranks = {val: r + 1 for r, val in enumerate(sorted(values))}
+    sub = Permutation._trusted(tuple(ranks[val] for val in values))
+    position = {old: new + 1 for new, old in enumerate(kept)}
+    sub_ne = frozenset(position[i] for i in v.ne_set)
+    return Vhc._trusted(sub, sub_ne), tuple(kept)
+
+
 def is_reduced_by_matching(v: Vhc) -> bool:
     """Oracle for ``is_reduced``: every plot point is an endpoint of a
     hook of ``v.matching`` or a descent bottom."""
@@ -362,6 +403,77 @@ def pivot_points(v: Vhc, hook: Hook) -> tuple[Point, ...]:
         for p in v.pi.points()
         if p.index > anchor.index and a.value < p.value < anchor.value
     )
+
+
+class Frame(NamedTuple):
+    """Left-to-right maxima of a 312-avoider read right to left, with the
+    gap counts between consecutive maxima.
+
+    ``maxima`` runs from the top corner ``(n, n)`` down to the sentinel
+    ``(0, 0)``; ``gammas[i]`` counts plot points strictly between maxima
+    ``i+1`` and ``i`` horizontally, ``gamma_primes[i]`` counts points
+    strictly between maxima ``i+2`` and ``i+1`` vertically, and
+    ``letters[i]`` is ``U`` or ``E`` according to whether maximum ``i`` is
+    a northeast hook endpoint.
+    """
+
+    maxima: tuple[Point, ...]
+    gammas: tuple[int, ...]
+    gamma_primes: tuple[int, ...]
+    letters: tuple[str, ...]
+
+
+def ll_frame(v: Vhc) -> Frame:
+    """Oracle for the gaps that ``maps._ll_map`` reads into its paths:
+    each gap is counted point by point, and the maxima are the points with
+    no higher point to their left."""
+    points = v.pi.points()
+    maxima = tuple(
+        p for p in reversed(points)
+        if all(q.value < p.value for q in points[: p.index - 1])
+    ) + (Point(0, 0),)
+    right, left, below = maxima[:-2], maxima[1:-1], maxima[2:]
+    return Frame(
+        maxima,
+        tuple(sum(m.index < p.index < r.index for p in points)
+              for r, m in zip(right, left)),
+        tuple(sum(b.value < p.value < m.value for p in points)
+              for m, b in zip(left, below)),
+        tuple("U" if r.index in v.ne_set else "E" for r in right),
+    )
+
+
+def is_dyck_prefix(word: str) -> bool:
+    """True for words over {u, d} whose prefixes never have more d than u."""
+    h = 0
+    for ch in word:
+        if ch == "u":
+            h += 1
+        elif ch == "d":
+            h -= 1
+        else:
+            return False
+        if h < 0:
+            return False
+    return True
+
+
+def reconstruct(cls_word: str, supp: str) -> MotzkinPath | None:
+    """Oracle for the claim that a path is recoverable from its class and
+    support: rebuild the path with the given class and support, or
+    ``None`` when the pair is inconsistent."""
+    if not is_dyck_prefix(supp):
+        return None
+    if any(ch not in "UE" for ch in cls_word):
+        return None
+    if sum(1 for ch in supp if ch == "u") != len(cls_word):
+        return None
+    letters = iter(cls_word)
+    steps = "".join("D" if ch == "d" else next(letters) for ch in supp)
+    try:
+        return MotzkinPath(steps)
+    except ValueError:
+        return None
 
 
 def dyck_prefix_leq(a: str, b: str) -> bool:

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from hookcomb.experiments import (
-    _EQ2_LIMIT,
     _EXHAUSTIVE_LIMIT,
     _TAMARI_LIMIT,
     _TRIANGLE_LIMIT,
@@ -25,13 +24,14 @@ from hookcomb.experiments import (
 )
 from hookcomb.motzkin import _INTERVAL_LIMIT, count_intervals, enumerate_intervals
 from hookcomb.perm import PATTERN_132, PATTERN_312
-from hookcomb.vhc import _carrier_pattern, carriers, enumerate_vhcs, is_reduced
+from hookcomb.vhc import _carrier_pattern, carriers, enumerate_vhcs
 from hookcomb.walks import _KMAX_LIMIT, _hook_slot, _walk_counts, count_walks
 
 from .conftest import (
     all_permutations,
     alternating_sum,
     configurations_on_avoiders,
+    is_reduced,
     perm,
     vhc_tallies_312,
 )
@@ -244,15 +244,21 @@ class TestEq2:
         assert [reduced_count(n) for n in range(7)] == [1, 0, 0, 1, 0, 3, 5]
 
     def test_budget_guard(self):
-        with pytest.raises(ValueError, match=f"n <= {_EQ2_LIMIT}: "):
-            check_eq2(n_max=_EQ2_LIMIT + 1, k_max=2)
+        """``reduced_count`` runs the search of the exhaustive counts, so
+        ``check_eq2`` shares their cap on 312-avoiders."""
+        cap = _EXHAUSTIVE_LIMIT[3][0]
+        report = check_eq2(n_max=cap, k_max=2)
+        assert all(entry["verdict"] == "holds" for entry in report)
+        with pytest.raises(ValueError, match=f"312-avoiders .* n <= {cap}: "):
+            check_eq2(n_max=cap + 1, k_max=2)
 
     def test_refuses_before_the_triangle(self, monkeypatch):
         import hookcomb.experiments
 
         monkeypatch.setattr(hookcomb.experiments, "triangle", None)
-        with pytest.raises(ValueError, match=f"n <= {_EQ2_LIMIT}: "):
-            check_eq2(n_max=_EQ2_LIMIT + 1, k_max=2)
+        cap = _EXHAUSTIVE_LIMIT[3][0]
+        with pytest.raises(ValueError, match=f"312-avoiders .* n <= {cap}: "):
+            check_eq2(n_max=cap + 1, k_max=2)
 
 
 class TestConjectures:
@@ -452,7 +458,7 @@ class TestFit:
 @pytest.mark.parametrize("call,args", [
     pytest.param(count_walks, (_KMAX_LIMIT + 1,), id="kmax"),
     pytest.param(triangle, (_TRIANGLE_LIMIT + 1,), id="triangle"),
-    pytest.param(check_eq2, (_EQ2_LIMIT + 1, 2), id="eq2"),
+    pytest.param(check_eq2, (_EXHAUSTIVE_LIMIT[3][0] + 1, 2), id="eq2"),
     pytest.param(check_tamari_image, (_TAMARI_LIMIT + 1,), id="tamari"),
     *(pytest.param(vhc_count_exhaustive,
                    (_EXHAUSTIVE_LIMIT[length][0] + 1, perm(text)),

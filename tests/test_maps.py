@@ -3,7 +3,6 @@ import time
 import pytest
 
 from hookcomb.maps import (
-    _ll_frame,
     _nw_of,
     _stripes,
     ll_inverse,
@@ -32,6 +31,8 @@ from .conftest import (
     contains_pattern,
     descent_tops,
     enumerate_restricted_pairs,
+    identity,
+    ll_frame,
     ltr_minima,
     perm,
     pivot_points,
@@ -67,7 +68,7 @@ class TestSlide:
         assert str(swl(perm("4213"))) == "2143"
 
     def test_identity_fixed(self):
-        pi = Permutation.identity(6)
+        pi = identity(6)
         assert swl(pi) == pi
         assert swr(pi) == pi
 
@@ -172,7 +173,7 @@ class TestPointImage:
         assert point_image(image, Point(1, 3)) == (2, 3)
 
     def test_identity_points(self):
-        pi = Permutation.identity(4)
+        pi = identity(4)
         for p in pi.points():
             assert point_image(pi, p) == p
 
@@ -247,9 +248,9 @@ class TestTransfer:
         assert w_map(v) == v
 
     def test_identity_case(self):
-        v = validate(Permutation.identity(4), set())
+        v = validate(identity(4), set())
         out = w_map(v)
-        assert out.pi == Permutation.identity(4) and out.ne_set == frozenset()
+        assert out.pi == identity(4) and out.ne_set == frozenset()
 
     def test_rejects_non_avoider(self):
         v = validate(perm("1324"), {4})
@@ -279,7 +280,7 @@ class TestTransfer:
 class TestIntervalCode:
     def test_worked_example(self):
         v = validate(perm("324156"), {3, 6})
-        frame = _ll_frame(v)
+        frame = ll_frame(v)
         assert frame.gammas == (0, 1, 1)
         assert frame.gamma_primes == (0, 0, 2)
         assert frame.letters == ("U", "E", "U")
@@ -289,7 +290,7 @@ class TestIntervalCode:
 
     def test_identity_maps_to_flat_pair(self):
         for n in (1, 2, 5):
-            v = validate(Permutation.identity(n), set())
+            v = validate(identity(n), set())
             interval = ll_map(v)
             assert str(interval.lower) == str(interval.upper) == "E" * (n - 1)
 
@@ -337,7 +338,7 @@ class TestIntervalCode:
         """Each hook's horizontal extent equals the lng statistic at its
         northeast endpoint's letter."""
         for v in all_vhcs(n, PATTERN_312):
-            frame = _ll_frame(v)
+            frame = ll_frame(v)
             lower = ll_map(v).lower
             lngs = lng_all(lower)
             for hook in v.matching:
@@ -447,7 +448,7 @@ class TestPivotsAndTamari:
             lower, upper = interval.lower, interval.upper
             if leq("T", lower, upper):
                 continue
-            frame = _ll_frame(v)
+            frame = ll_frame(v)
             lng_lo, lng_up = lng_all(lower), lng_all(upper)
             rises = [1 if x == "U" else 0 for x in frame.letters]
             bad = [i for i in range(len(rises)) if lng_lo[i] > lng_up[i]]

@@ -11,17 +11,14 @@ from hookcomb.motzkin import (
     count_intervals,
     enumerate_intervals,
     enumerate_paths,
-    is_dyck_prefix,
     leq,
     lng_all,
     motzkin_number,
     path_class,
-    reconstruct,
-    step_displacement,
     support,
 )
 
-from .conftest import dyck_prefix_leq
+from .conftest import dyck_prefix_leq, is_dyck_prefix, reconstruct
 
 
 @lru_cache(maxsize=None)
@@ -37,13 +34,13 @@ def motzkin_paths(draw, max_len=7):
 
 class TestBasics:
     def test_displacements(self):
-        assert step_displacement("U") == 1
-        assert step_displacement("E") == 0
-        assert step_displacement("D") == -1
+        # U rises 1, E stays flat, D falls 1
+        assert MotzkinPath("UEDE").heights() == (1, 1, 0, 0)
+        assert MotzkinPath("UUDEDE").heights() == (1, 2, 1, 1, 0, 0)
 
     def test_bad_step(self):
-        with pytest.raises(ValueError):
-            step_displacement("X")
+        with pytest.raises(ValueError, match="not a Motzkin step: 'X'"):
+            MotzkinPath("X")
 
     @pytest.mark.parametrize("bad", ["D", "UDD", "UU", "UDX"])
     def test_invalid_paths_rejected(self, bad):

@@ -23,6 +23,7 @@ from .conftest import (
     contains_pattern,
     descent_bottoms,
     descent_tops,
+    identity,
     ltr_minima,
     perm,
 )
@@ -204,7 +205,7 @@ class TestDescentsAndExtrema:
         )
 
     def test_maxima_of_increasing_is_everything(self):
-        pi = Permutation.identity(5)
+        pi = identity(5)
         assert ltr_maxima(pi) == pi.points()
 
     def test_minima_2143(self):

@@ -1,23 +1,32 @@
 import itertools
+import time
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hookcomb.experiments import reduced_count
-from hookcomb.perm import PATTERN_132, PATTERN_312, Permutation, avoiders, descents
-from hookcomb.vhc import Vhc, carriers, enumerate_vhcs, is_reduced, restrict, validate
+from hookcomb.experiments import _EXHAUSTIVE_LIMIT, reduced_count
+from hookcomb.perm import PATTERN_132, PATTERN_312, Permutation, avoiders
+from hookcomb.vhc import Vhc, carriers, enumerate_vhcs, validate
 
 from .conftest import (
     _bruteforce_assignments,
     all_permutations,
     contains_pattern,
+    descents,
+    identity,
+    is_reduced,
     is_reduced_by_matching,
     perm,
+    restrict,
     validate_bruteforce,
     vhc_tallies_312,
 )
+
+
+#: CPU seconds for every 123 carrier up to the cap (0.43 s measured)
+ENUMERATE_123_BUDGET_S = 1.0
 
 
 def ne_sets(v_iter) -> list[tuple[int, ...]]:
@@ -134,8 +143,24 @@ class TestEnumerate:
     def test_long_identity_needs_no_recursion(self):
         """The sweep keeps its own stack, so a size past Python's
         recursion limit of 1000 is no different."""
-        pi = Permutation.identity(2000)
+        pi = identity(2000)
         assert list(enumerate_vhcs(pi)) == [Vhc(pi, frozenset())]
+
+    def test_123_carriers_to_the_cap_within_budget(self):
+        """The 123 carriers ``(n-1, ..., 1, n)`` open a hook at almost every
+        point until too few points are left to close them.  The branches
+        share the open hooks, so a point costs the same however many are
+        open: sizes 1..2000, the cap of ``count --pattern 123``, took 0.43 s
+        of CPU on a 2-core Xeon, and 1.2 s when every point copied them."""
+        cap = _EXHAUSTIVE_LIMIT[2][0]
+        start = time.process_time()
+        counts = [
+            sum(1 for pi in carriers(n, perm("123")) for _ in enumerate_vhcs(pi))
+            for n in range(1, cap + 1)
+        ]
+        assert time.process_time() - start < ENUMERATE_123_BUDGET_S
+        # two descent tops before the last point cannot both close from n = 4
+        assert counts == [1, 1, 1] + [0] * (cap - 3)
 
     def test_2134(self):
         assert ne_sets(enumerate_vhcs(perm("2134"))) == [(3,), (4,)]
