@@ -221,6 +221,8 @@ def _cmd_map(args) -> int:
                   "order": "C"}
     else:  # llinv
         _need(args, "lower", "upper", "n")
+        if args.n < 1:
+            raise ValueError("--n must be >= 1")
         interval = Interval(MotzkinPath(args.lower), MotzkinPath(args.upper), "C")
         audit_input = {"lower": args.lower, "upper": args.upper, "n": args.n}
         if len(interval.lower) != args.n - 1:

@@ -10,12 +10,20 @@ The three families of maps implemented here:
   occurrence.
 * ``w_map`` transfers a hook configuration on a 132-avoider to one on the
   corresponding 312-avoider by sliding the permutation with ``swl`` and
-  replacing each northeast endpoint with its *northwest representative*
-  (``_nw_of``), the leftmost left-to-right maximum weakly above and to the
-  left, whose fibers are the descending *stripes* (``_stripes``).
-  It is injective; ``w_map_left_inverse`` undoes it and, applied to an
-  arbitrary configuration on a 312-avoider, reports whether the pulled
-  back candidate is itself valid.
+  replacing each northeast endpoint with its *northwest representative*,
+  the first left-to-right maximum at least as high.  Its fibers, the
+  *stripes*, are value ranges: a maximum's stripe holds the values above
+  the previous maximum, up to its own.  In a 312-avoider a stripe
+  descends, so its rightmost point is its lowest, and every northeast
+  endpoint is a maximum (a higher point left of the hook's descent top
+  would form a 312 with the descent bottom and the endpoint, and one
+  between the two would lie above the hook).  ``w_map`` is injective, and
+  ``w_map_left_inverse`` undoes it by sending each endpoint to its stripe's
+  rightmost point; applied to an arbitrary configuration on a 312-avoider,
+  it reports whether the pulled back candidate is itself valid.  Both are
+  lookups by value.  The tests check the ranges at every point of every
+  312-avoider, and both maps against the point-by-point definitions on
+  every configuration on the 132 and 312 carriers, for n <= 8.
 * ``ll_map`` encodes a configuration on a 312-avoider as a pair of Motzkin
   paths read off the gaps between consecutive left-to-right maxima
   (horizontal gaps for the lower path, vertical gaps for the upper one).
@@ -26,15 +34,16 @@ The three families of maps implemented here:
 
 Public functions check their permutation's pattern class once; a ``Vhc``
 is valid by construction, so no function here checks a configuration
-again.  The slide loop and the stripe decomposition they share trust their
-input, and so do the images they build.
+again.  The slide loop and the stripe ranges they share trust their input,
+and so do the images they build.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .motzkin import (
+    _DISPLACEMENT,
     Interval,
     MotzkinPath,
     leq,
@@ -50,13 +59,23 @@ from .perm import (
     ltr_maxima,
 )
 from .vhc import Vhc, validate
-from .walks import ALLOWED_STEP_PAIRS
+from .walks import STEPS
+
+#: coordinatewise step pairs allowed in a restricted path pair: the pairs
+#: whose two displacements make a step of the walks, and the flat pair,
+#: which the walk drops
+ALLOWED_STEP_PAIRS = frozenset(
+    (a, b)
+    for a in _DISPLACEMENT
+    for b in _DISPLACEMENT
+    if (_DISPLACEMENT[a], _DISPLACEMENT[b]) in STEPS or a == b == "E"
+)
 
 
 def _require_avoiding(pi: Permutation, sigma: Permutation, op: str) -> None:
     occ = find_occurrence(pi, sigma)
     if occ is not None:
-        values = tuple(pi.value_at(i) for i in occ)
+        values = tuple(pi.entries[i - 1] for i in occ)
         raise ValueError(
             f"{op} needs a {''.join(map(str, sigma.entries))}-avoiding "
             f"permutation; {pi} matches it at positions {occ} (values {values})"
@@ -99,28 +118,18 @@ def swr(pi: Permutation) -> Permutation:
     return _slide_all(pi, below_first=False)
 
 
-def point_image(image: Permutation, p: Point) -> Point:
-    """The point with the same value in the image permutation."""
-    return Point(image.index_of(p.value), p.value)
+# --- stripes ---------------------------------------------------------------
 
 
-# --- northwest representatives and stripes ---------------------------------
-
-
-def _nw_of(maxima: tuple[Point, ...], p: Point) -> Point:
-    """The first maximum at least as high as ``p``: in a 312-avoider it
-    is weakly left of ``p`` (the tests check every point for n <= 8)."""
-    return next(m for m in maxima if m.value >= p.value)
-
-
-def _stripes(pi: Permutation) -> tuple[tuple[Point, ...], ...]:
-    """Fibers of ``_nw_of`` on a 312-avoider, bottom first, each descending
-    left to right, so a stripe's head is its northwest representative."""
-    maxima = ltr_maxima(pi)  # they rise left to right
-    groups: dict[Point, list[Point]] = {m: [] for m in maxima}
-    for p in pi.points():
-        groups[_nw_of(maxima, p)].append(p)
-    return tuple(tuple(groups[m]) for m in maxima)
+def _stripe_ranges(ent: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The stripes of a word as value ranges ``(low, high)``, bottom first:
+    for each left-to-right maximum ``high``, the values above the previous
+    maximum and at most ``high``, whose northwest representative it is."""
+    top = 0
+    for v in ent:
+        if v > top:
+            yield top + 1, v
+            top = v
 
 
 # --- configuration transfer ------------------------------------------------
@@ -143,10 +152,11 @@ def _w_map(v: Vhc) -> Vhc:
     image is a configuration (the tests rebuild every image for n <= 8)."""
     tau = v.pi
     image = _slide_all(tau, below_first=True)
-    maxima = ltr_maxima(image)
-    ne = frozenset(
-        _nw_of(maxima, point_image(image, tau.point(i))).index for i in v.ne_set
-    )
+    # each value's northwest representative, as a value
+    head = {x: high for low, high in _stripe_ranges(image.entries)
+            for x in range(low, high + 1)}
+    pos = {x: i for i, x in enumerate(image.entries, 1)}
+    ne = frozenset(pos[head[tau.entries[i - 1]]] for i in v.ne_set)
     return Vhc._trusted(image, ne)
 
 
@@ -174,8 +184,10 @@ def w_map_left_inverse(w: Vhc) -> PullbackResult:
     pi = w.pi
     _require_avoiding(pi, PATTERN_312, "w_map_left_inverse")
     tau = _slide_all(pi, below_first=False)
-    rightmost = {s[0]: s[-1] for s in _stripes(pi)}
-    ne = frozenset(point_image(tau, rightmost[pi.point(i)]).index for i in w.ne_set)
+    bottom = {high: low for low, high in _stripe_ranges(pi.entries)}
+    pos = {x: i for i, x in enumerate(tau.entries, 1)}
+    # every northeast endpoint heads a stripe (module docstring)
+    ne = frozenset(pos[bottom[pi.entries[i - 1]]] for i in w.ne_set)
     return PullbackResult(tau, ne, validate(tau, ne))
 
 

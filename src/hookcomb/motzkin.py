@@ -95,22 +95,24 @@ def path_class(p: MotzkinPath) -> str:
 
 def lng_all(p: MotzkinPath) -> tuple[int, ...]:
     """For each non-D step, the length of the shortest consecutive
-    substring starting there that forms a Motzkin path.
+    substring starting there that forms a Motzkin path: 1 for an ``E``, and
+    for a ``U`` the span to the ``D`` that first brings the height back,
+    its match on a stack (the tests compare the scan from each step for
+    every path of length n <= 10).
 
     >>> lng_all(MotzkinPath("UDEUEUDD"))
     (2, 1, 5, 1, 2)
     """
-    steps = p.steps
-    out = []
-    for start, s in enumerate(steps):
+    out: list[int] = []
+    open_ups: list[tuple[int, int]] = []  # (slot in out, position) per open U
+    for i, s in enumerate(p.steps):
         if s == "D":
-            continue
-        h = 0
-        for offset, t in enumerate(steps[start:]):
-            h += _DISPLACEMENT[t]
-            if h == 0:
-                out.append(offset + 1)
-                break
+            slot, start = open_ups.pop()
+            out[slot] = i - start + 1
+        else:
+            if s == "U":
+                open_ups.append((len(out), i))
+            out.append(1)
     return tuple(out)
 
 

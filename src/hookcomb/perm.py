@@ -79,21 +79,6 @@ class Permutation(Frozen):
     def __iter__(self):
         return iter(self.entries)
 
-    def value_at(self, index: int) -> int:
-        """Value at a 1-based position."""
-        if not 1 <= index <= self.n:
-            raise ValueError(f"index {index} out of range 1..{self.n}")
-        return self.entries[index - 1]
-
-    def index_of(self, value: int) -> int:
-        """1-based position of a value."""
-        if not 1 <= value <= self.n:
-            raise ValueError(f"value {value} out of range 1..{self.n}")
-        return self.entries.index(value) + 1
-
-    def point(self, index: int) -> Point:
-        return Point(index, self.value_at(index))
-
     def points(self) -> tuple[Point, ...]:
         return tuple(Point(i + 1, v) for i, v in enumerate(self.entries))
 

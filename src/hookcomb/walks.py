@@ -101,11 +101,6 @@ from __future__ import annotations
 
 STEPS: tuple[tuple[int, int], ...] = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1))
 
-#: coordinatewise step pairs allowed in a restricted path pair
-ALLOWED_STEP_PAIRS = frozenset(
-    [("D", "E"), ("D", "U"), ("E", "D"), ("E", "E"), ("E", "U"), ("U", "D")]
-)
-
 #: largest ``k_max`` that ``count_walks`` builds (its cost at the cap is in
 #: the refusal); 0.3 s at 400 and 3.1 s at 800 on a 2-core Xeon, Python 3.11
 _KMAX_LIMIT = 1000

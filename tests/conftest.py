@@ -4,11 +4,12 @@ The brute-force helpers here are deliberately dumb: they filter full
 symmetric groups or full step products so that the package's pruned
 generators and dynamic programs have something independent to agree with.
 The geometric validator, the pattern test, the single-height slides, the
-pivot points, the frame of ``ll_map``, the rebuilding of a path from its
-class and support, and the Dyck-prefix order are oracles only, and the
-identity permutation, the descents, the reduction of a configuration and
-the left-to-right minima are read only by tests, so they live here rather
-than in the package.
+northwest representatives and stripes point by point, the maps built on
+them, the pivot points, the frame of ``ll_map``, the lng scan, the
+rebuilding of a path from its class and support, and the Dyck-prefix
+order are oracles only, and the identity permutation, the descents, the
+reduction of a configuration and the left-to-right minima are read only by
+tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from typing import Iterable, Iterator, NamedTuple
 
 import pytest
 
-from hookcomb.maps import _slide, _stripes
+from hookcomb.maps import ALLOWED_STEP_PAIRS, PullbackResult, _slide, swl, swr
 from hookcomb.motzkin import MotzkinPath, enumerate_paths
-from hookcomb.perm import PATTERN_312, Permutation, Point, avoiders
-from hookcomb.vhc import Hook, Vhc, _checked_ne, enumerate_vhcs
-from hookcomb.walks import ALLOWED_STEP_PAIRS, STEPS, count_walks
+from hookcomb.perm import PATTERN_312, Permutation, Point, avoiders, ltr_maxima
+from hookcomb.vhc import Hook, Vhc, _checked_ne, enumerate_vhcs, validate
+from hookcomb.walks import STEPS, count_walks
 
 
 def perm(text: str) -> Permutation:
@@ -275,7 +276,7 @@ def _bruteforce_assignments(
     configuration.  At most one should ever be produced."""
     ne = _checked_ne(pi, ne_indices)
     tops = descent_tops(pi)
-    ne_points = tuple(pi.point(i) for i in sorted(ne))
+    ne_points = tuple(Point(i, pi.entries[i - 1]) for i in sorted(ne))
     if len(tops) != len(ne_points):
         return
     for assigned in itertools.permutations(ne_points):
@@ -302,12 +303,12 @@ def validate_bruteforce(
 
 def descent_tops(pi: Permutation) -> tuple[Point, ...]:
     """Descent-top points ``(i, p(i))`` in increasing index order."""
-    return tuple(pi.point(i) for i in descents(pi))
+    return tuple(Point(i, pi.entries[i - 1]) for i in descents(pi))
 
 
 def descent_bottoms(pi: Permutation) -> tuple[Point, ...]:
     """Descent-bottom points ``(i+1, p(i+1))``, paired with the tops."""
-    return tuple(pi.point(i + 1) for i in descents(pi))
+    return tuple(Point(i + 1, pi.entries[i]) for i in descents(pi))
 
 
 def ltr_minima(pi: Permutation) -> tuple[Point, ...]:
@@ -347,7 +348,7 @@ def restrict(v: Vhc) -> tuple[Vhc, tuple[int, ...]]:
     always reduced.
     """
     kept = sorted(_kept(v))
-    values = [v.pi.value_at(i) for i in kept]
+    values = [v.pi.entries[i - 1] for i in kept]
     ranks = {val: r + 1 for r, val in enumerate(sorted(values))}
     sub = Permutation._trusted(tuple(ranks[val] for val in values))
     position = {old: new + 1 for new, old in enumerate(kept)}
@@ -378,11 +379,55 @@ def swr_at(pi: Permutation, height: int) -> Permutation:
     return Permutation(_slide(pi.entries, height, below_first=False))
 
 
+def nw_of(pi: Permutation, p: Point) -> Point:
+    """The northwest representative of ``p``: the first left-to-right
+    maximum at least as high.  In a 312-avoider it is weakly left of ``p``."""
+    return next(m for m in ltr_maxima(pi) if m.value >= p.value)
+
+
+def stripes(pi: Permutation) -> tuple[tuple[Point, ...], ...]:
+    """Oracle for ``maps._stripe_ranges``: the fibers of ``nw_of``, point
+    by point, bottom first and each left to right, so a stripe's head is its
+    northwest representative."""
+    maxima = ltr_maxima(pi)  # they rise left to right
+    groups: dict[Point, list[Point]] = {m: [] for m in maxima}
+    for p in pi.points():
+        groups[nw_of(pi, p)].append(p)
+    return tuple(tuple(groups[m]) for m in maxima)
+
+
 def stripe_ends(pi: Permutation) -> dict[Point, Point]:
     """Each stripe's head, a left-to-right maximum, mapped to the stripe's
     rightmost point: the inverse of the northwest representative that the
     pullback picks."""
-    return {s[0]: s[-1] for s in _stripes(pi)}
+    return {s[0]: s[-1] for s in stripes(pi)}
+
+
+def _point_with_value(pi: Permutation, value: int) -> Point:
+    return Point(pi.entries.index(value) + 1, value)
+
+
+def w_map_by_points(v: Vhc) -> Vhc:
+    """Oracle for ``w_map``: slide with ``swl`` and send each northeast
+    endpoint to the northwest representative of its image, point by
+    point; the checked constructor rebuilds the image."""
+    image = swl(v.pi)
+    ne = {nw_of(image, _point_with_value(image, v.pi.entries[i - 1])).index
+          for i in v.ne_set}
+    return Vhc(image, ne)
+
+
+def w_map_left_inverse_by_points(w: Vhc) -> PullbackResult:
+    """Oracle for ``w_map_left_inverse``: slide back with ``swr`` and send
+    each northeast endpoint, a stripe head, to its stripe's rightmost point,
+    point by point."""
+    tau = swr(w.pi)
+    ends = stripe_ends(w.pi)
+    ne = frozenset(
+        _point_with_value(tau, ends[Point(i, w.pi.entries[i - 1])].value).index
+        for i in w.ne_set
+    )
+    return PullbackResult(tau, ne, validate(tau, ne))
 
 
 def pivot_points(v: Vhc, hook: Hook) -> tuple[Point, ...]:
@@ -441,6 +486,23 @@ def ll_frame(v: Vhc) -> Frame:
               for m, b in zip(left, below)),
         tuple("U" if r.index in v.ne_set else "E" for r in right),
     )
+
+
+def lng_scan(p: MotzkinPath) -> tuple[int, ...]:
+    """Oracle for ``lng_all``: from each non-D step, scan right until the
+    height first comes back to where the step started."""
+    rise = {"U": 1, "E": 0, "D": -1}
+    out = []
+    for start, s in enumerate(p.steps):
+        if s == "D":
+            continue
+        h = 0
+        for offset, t in enumerate(p.steps[start:]):
+            h += rise[t]
+            if h == 0:
+                out.append(offset + 1)
+                break
+    return tuple(out)
 
 
 def is_dyck_prefix(word: str) -> bool:

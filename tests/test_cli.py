@@ -77,6 +77,13 @@ class TestMap:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "interval has length 1, expected 2" in proc.stderr
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_llinv_refuses_sizes_below_one(self, n):
+        proc = run("map", "--name", "llinv", "--lower", "", "--upper", "", "--n", n,
+                   check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--n must be >= 1" in proc.stderr
+
     def test_llinv_has_no_size_cap(self):
         lower, upper = "UEDUDUEDUDE", "UEUDDUEUDDE"
         proc = run("map", "--name", "llinv", "--lower", lower, "--upper", upper,

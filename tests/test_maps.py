@@ -3,13 +3,12 @@ import time
 import pytest
 
 from hookcomb.maps import (
-    _nw_of,
-    _stripes,
+    ALLOWED_STEP_PAIRS,
+    _stripe_ranges,
     ll_inverse,
     ll_map,
     phi,
     phi_inverse,
-    point_image,
     swl,
     swr,
     w_map,
@@ -24,8 +23,7 @@ from hookcomb.perm import (
     avoiders,
     ltr_maxima,
 )
-from hookcomb.vhc import Hook, Vhc, enumerate_vhcs, validate
-from hookcomb.walks import ALLOWED_STEP_PAIRS
+from hookcomb.vhc import Hook, Vhc, carriers, enumerate_vhcs, validate
 
 from .conftest import (
     contains_pattern,
@@ -34,11 +32,15 @@ from .conftest import (
     identity,
     ll_frame,
     ltr_minima,
+    nw_of,
     perm,
     pivot_points,
     stripe_ends,
+    stripes,
     swl_at,
     swr_at,
+    w_map_by_points,
+    w_map_left_inverse_by_points,
 )
 
 
@@ -167,29 +169,17 @@ def _apply_normalized(func, values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ordered[r - 1] for r in image.entries)
 
 
-class TestPointImage:
-    def test_value_preserved(self):
-        image = swl(perm("31245"))
-        assert point_image(image, Point(1, 3)) == (2, 3)
-
-    def test_identity_points(self):
-        pi = identity(4)
-        for p in pi.points():
-            assert point_image(pi, p) == p
-
-
 class TestNorthwest:
     def test_nw_in_2143(self):
-        pi = perm("2143")
-        assert _nw_of(ltr_maxima(pi), Point(4, 3)) == (3, 4)
+        assert nw_of(perm("2143"), Point(4, 3)) == (3, 4)
 
     def test_nw_fixes_maxima(self):
-        maxima = ltr_maxima(perm("2143"))
-        for m in maxima:
-            assert _nw_of(maxima, m) == m
+        pi = perm("2143")
+        for m in ltr_maxima(pi):
+            assert nw_of(pi, m) == m
 
     def test_stripes_2143(self):
-        s = _stripes(perm("2143"))
+        s = stripes(perm("2143"))
         assert s == (((1, 2), (2, 1)), ((3, 4), (4, 3)))
         assert tuple(stripe[0] for stripe in s) == ((1, 2), (3, 4))
 
@@ -204,20 +194,19 @@ class TestNorthwest:
             ends = stripe_ends(pi)
             assert set(ends) == set(maxima)
             for m in maxima:
-                assert _nw_of(maxima, ends[m]) == m
+                assert nw_of(pi, ends[m]) == m
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_representative_lies_weakly_northwest(self, n):
         for pi in avoiders(n, PATTERN_312):
-            maxima = ltr_maxima(pi)
             for p in pi.points():
-                m = _nw_of(maxima, p)
+                m = nw_of(pi, p)
                 assert m.index <= p.index and m.value >= p.value, (pi, p)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_stripes_descend_and_stack(self, n):
         for pi in avoiders(n, PATTERN_312):
-            s = _stripes(pi)
+            s = stripes(pi)
             for stripe in s:
                 values = [p.value for p in stripe]
                 assert values == sorted(values, reverse=True), (pi, stripe)
@@ -233,13 +222,25 @@ class TestNorthwest:
         non-minimum image, rightmost in its stripe."""
         for tau in avoiders(n, PATTERN_132):
             minima = {p.value for p in ltr_minima(tau)}
-            decomposition = _stripes(swl(tau))
+            decomposition = stripes(swl(tau))
             bottom = decomposition[0]
             assert all(p.value in minima for p in bottom)
             for stripe in decomposition[1:]:
                 outsiders = [p for p in stripe if p.value not in minima]
                 assert len(outsiders) == 1
                 assert outsiders[0] == stripe[-1]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stripes_are_value_ranges(self, n):
+        """The stripe of a maximum holds the values above the previous
+        maximum and at most it, and in a 312-avoider its rightmost point is
+        the lowest: what the transfer reads instead of the stripes."""
+        for pi in avoiders(n, PATTERN_312):
+            ranges = list(_stripe_ranges(pi.entries))
+            for (low, high), stripe in zip(ranges, stripes(pi), strict=True):
+                assert stripe[0].value == high, (pi, stripe)
+                assert {p.value for p in stripe} == set(range(low, high + 1))
+                assert stripe[-1].value == low, (pi, stripe)
 
 
 class TestTransfer:
@@ -268,6 +269,19 @@ class TestTransfer:
             key = (w.pi.entries, w.ne_set)
             assert key not in images
             images.add(key)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_point_by_point_maps(self, n):
+        """On every configuration on the carriers, the lookups by value
+        agree with the definitions through northwest representatives and
+        stripes; the pullback's lookup also needs every northeast endpoint
+        on a 312-avoider to head a stripe."""
+        for tau in carriers(n, PATTERN_132):
+            for v in enumerate_vhcs(tau):
+                assert w_map(v) == w_map_by_points(v), v.to_json()
+        for pi in carriers(n, PATTERN_312):
+            for w in enumerate_vhcs(pi):
+                assert w_map_left_inverse(w) == w_map_left_inverse_by_points(w), w.to_json()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_left_inverse_recovers(self, n):
@@ -357,6 +371,11 @@ class TestPhi:
         x, y = phi(Interval(p, p, "C"))
         assert str(x) == "E" * len(p) and y == p
 
+    def test_allowed_pairs_are_derived_from_the_walk_steps(self):
+        assert ALLOWED_STEP_PAIRS == {
+            ("D", "E"), ("D", "U"), ("E", "D"), ("E", "E"), ("E", "U"), ("U", "D")
+        }
+
     def test_output_respects_step_restriction(self):
         for n in range(7):
             for interval in enumerate_intervals("C", n):
@@ -434,7 +453,7 @@ class TestPivotsAndTamari:
             if not leq("T", interval.lower, interval.upper):
                 continue
             for hook in v.matching:
-                bottom = v.pi.point(hook.sw.index + 1)
+                bottom = Point(hook.sw.index + 1, v.pi.entries[hook.sw.index])
                 for rho in pivot_points(v, hook):
                     assert not bottom.value < rho.value < hook.ne.value
 

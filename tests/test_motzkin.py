@@ -18,7 +18,7 @@ from hookcomb.motzkin import (
     support,
 )
 
-from .conftest import dyck_prefix_leq, is_dyck_prefix, reconstruct
+from .conftest import dyck_prefix_leq, is_dyck_prefix, lng_scan, reconstruct
 
 
 @lru_cache(maxsize=None)
@@ -72,6 +72,11 @@ class TestBasics:
         for p in paths(6):
             for letter, ln in zip(path_class(p), lng_all(p)):
                 assert ln == 1 if letter == "E" else ln >= 2
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_lng_matches_the_scan(self, n):
+        for p in paths(n):
+            assert lng_all(p) == lng_scan(p), p
 
 
 class TestSupport:

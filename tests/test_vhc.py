@@ -285,7 +285,7 @@ class TestReduction:
                 reduced, kept = restrict(v)
                 assert Vhc(Permutation(reduced.pi.entries), reduced.ne_set) == reduced
                 assert is_reduced(reduced)
-                values = tuple(sorted(pi.value_at(i) for i in kept))
+                values = tuple(sorted(pi.entries[i - 1] for i in kept))
                 key = (reduced.pi.entries, tuple(sorted(reduced.ne_set)), values)
                 assert key not in seen
                 seen.add(key)
@@ -296,8 +296,8 @@ class TestReduction:
         ra, ka = restrict(a)
         rb, kb = restrict(b)
         assert ra == rb and ka == kb == (2, 3, 4)
-        values_a = {a.pi.value_at(i) for i in ka}
-        values_b = {b.pi.value_at(i) for i in kb}
+        values_a = {a.pi.entries[i - 1] for i in ka}
+        values_b = {b.pi.entries[i - 1] for i in kb}
         assert values_a == {2, 3, 4} and values_b == {1, 3, 4}
 
     @pytest.mark.parametrize("n", range(1, 10))

@@ -5,8 +5,8 @@ import pytest
 
 from hookcomb import cli
 from hookcomb.experiments import _reduced_series
+from hookcomb.maps import ALLOWED_STEP_PAIRS
 from hookcomb.walks import (
-    ALLOWED_STEP_PAIRS,
     STEPS,
     _KMAX_LIMIT,
     _hook_slot,
