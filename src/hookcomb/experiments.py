@@ -34,12 +34,13 @@ _TRIANGLE_LIMIT = 40
 _TAMARI_LIMIT = 10
 #: largest n of an exhaustive count, and its cost, by the length of sigma'
 #: (``vhc._carrier_pattern``) clamped to 2..4; length 3 runs ``perm._guard3``
-#: and length 4 ``perm._guard_generic``
+#: and length 4 or more ``perm._guard``
 _EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 0.4 s "
                               "(213: 0.9 s), and 1..4000 takes 2.5 s"),
                      3: (12, "count --pattern 132 --n 1..12 takes 0.15 s "
                              "at a 15 MB peak, and n = 13 alone 0.15 s"),
-                     4: (9, "3.4 s for 4231 at n = 9 and 31 s at 10")}
+                     4: (9, "count --pattern 623451 --n 1..9 takes 0.9 s, "
+                            "and n = 10 alone 8 s")}
 _MIN_FIT_POINTS = 50
 
 _S3 = tuple(Permutation(p) for p in permutations((1, 2, 3)))

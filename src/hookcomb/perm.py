@@ -12,20 +12,11 @@ Conventions used throughout the package:
 * The empty permutation (``n = 0``) is legal and avoids every nonempty
   pattern.
 
-``avoiders`` generates a class by backtracking over one-line prefixes.  For
-every pattern ``sigma`` of length 3 it uses one extension rule: an avoiding
-prefix extends to an avoider iff no unused value ``u`` forms ``sigma``
-together with two prefix values (``u`` last).  Proof: append the unused
-values in increasing order when ``sigma(2) > sigma(3)`` and in decreasing
-order otherwise; no occurrence can then use two appended values.  So the
-search never enters a dead end.  The tests check it, for all six patterns,
-against a filter-all oracle at every ``n <= 6``, both the output and the
-accepted extensions of every prefix; it reproduced the sequences of the
-earlier per-pattern guards at every ``n <= 11`` (and ``n = 12`` for 312).
-
-The same rule guards the maps: ``find_occurrence`` replays it over a whole
-permutation in one pass, and searches for the first occurrence, in O(n^2),
-only on a refusal.
+``avoiders`` generates a class by backtracking over one-line prefixes, with
+one extension rule for patterns of every length (see ``_avoider_words``),
+so the search never enters a dead end.  The same rule guards the maps:
+``find_occurrence`` replays it over a whole permutation in one pass, and
+searches for the first occurrence, in O(n^2), only on a refusal.
 
 All values are immutable after construction and every operation here is
 pure, so they are safe to call from concurrent workers.
@@ -33,7 +24,6 @@ pure, so they are safe to call from concurrent workers.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterator, NamedTuple
 
 from .frozen import Frozen
@@ -158,15 +148,6 @@ def _first_occurrence(ent: tuple[int, ...], sig: tuple[int, ...]) -> tuple[int, 
     return i + 1, j + 1, k + 1
 
 
-def _order_isomorphic(word: tuple[int, ...], sig: tuple[int, ...]) -> bool:
-    k = len(sig)
-    return all(
-        (word[a] < word[b]) == (sig[a] < sig[b])
-        for a in range(k)
-        for b in range(a + 1, k)
-    )
-
-
 def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
     """All ``sigma``-avoiding permutations of size ``n``, in lexicographic
     order of one-line notation: the words of ``_avoider_words``."""
@@ -175,31 +156,29 @@ def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
 
 def _avoider_words(n: int, sigma: Permutation) -> Iterator[tuple[int, ...]]:
     """The entry tuples of the ``sigma``-avoiders of size ``n``, in
-    lexicographic order.
+    lexicographic order, by backtracking over one-line prefixes.
 
-    Generation is by backtracking over one-line prefixes, trying values in
-    increasing order.  For a pattern of length 3 the search has no dead
-    ends, by the extension rule: an avoiding prefix extends to an avoider
-    of size ``n`` iff no unused value forms ``sigma`` as the last letter
-    together with two prefix values.  The condition is plainly necessary.
-    It is sufficient because appending the unused values in increasing
-    order when ``sigma(2) > sigma(3)``, and in decreasing order otherwise,
-    creates no occurrence: the appended run is monotone the wrong way to
-    supply the last two letters, and an occurrence with one appended letter
-    is excluded by the condition.  A candidate is accepted iff the prefix
-    grown by it keeps the condition (``_guard3``), so every visited prefix
-    reaches a leaf.  Checked against the filter-all oracle for every
-    pattern in S3 and every ``n <= 6`` in the tests, and against the
-    earlier per-pattern guards for ``n <= 11`` (and ``n = 12`` for 312).
-    A length-2 pattern leaves one word, the monotone one with no pair in
-    its order: decreasing for 12, increasing for 21.  Other lengths use
-    ``_guard_generic``, which only rejects candidates completing an
-    occurrence and may visit dead-end prefixes.
+    One extension rule serves a pattern of every length ``k >= 3``: an
+    avoiding prefix extends to an avoider iff no unused value forms
+    ``sigma`` as the last letter with ``k - 1`` prefix values.  That is
+    plainly necessary.  It is sufficient because appending the unused values
+    as a run, increasing when ``sigma(k-1) > sigma(k)`` and decreasing
+    otherwise, makes no occurrence: one with two appended letters needs its
+    last two in sigma's order, against the run, and one with a single
+    appended letter breaks the rule.  A candidate is accepted iff the grown
+    prefix keeps the rule (``_guard3`` for ``k = 3``, ``_guard`` for longer
+    patterns), so every visited prefix reaches a leaf.  The tests check the
+    words, in order, and the accepted extensions of every prefix against
+    the filter-all oracle for S3 and S4 at every ``n <= 6``.  The words
+    equal those of the earlier per-pattern guards for S3 at ``n <= 11`` (312:
+    12), and of the earlier subset scan for S4, 52341, 24153 and 623451 at
+    ``n <= 8``, with no dead end.  Length 1 occurs in every nonempty word;
+    length 2 leaves one word, the monotone one with no pair in its order.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if sigma.n == 0:
-        return  # the empty pattern occurs in everything, even the empty word
+    if sigma.n == 0 or (sigma.n == 1 and n > 0):
+        return  # the empty pattern occurs in every word, a letter in every nonempty one
     if n == 0:
         yield ()
         return
@@ -212,7 +191,7 @@ def _avoider_words(n: int, sigma: Permutation) -> Iterator[tuple[int, ...]]:
     if sigma.n == 3:
         allows = _guard3(sigma.entries, used)
     else:
-        allows = _guard_generic(sigma.entries, prefix)
+        allows = _guard(sigma.entries, prefix, used)
 
     def rec() -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
@@ -262,18 +241,38 @@ def _guard3(sig: tuple[int, ...], used: bytearray) -> Callable[[int], bool]:
     return allows
 
 
-def _guard_generic(sig: tuple[int, ...], prefix: list[int]) -> Callable[[int], bool]:
-    """Completion test over subsequences of the prefix ending at the new
-    value; the prefix list is shared with, and grown by, the search."""
+def _guard(sig: tuple[int, ...], prefix: list[int], used: bytearray) -> Callable[[int], bool]:
+    """Extension test for a pattern ``sigma`` of length ``k >= 3``, read off
+    the prefix and its flags ``used[1..n]``, both grown by the search:
+    ``x`` is refused iff an unused ``u`` forms ``sigma`` with ``x`` as letter
+    ``k - 1`` and ``k - 2`` prefix values.  Sigma's first letters are
+    embedded into the prefix left to right, each strictly between the values
+    of its nearest letters below and above it in ``sigma`` among ``x`` and
+    those placed before it; a full embedding bounds ``u`` in the same way,
+    to an open interval that excludes ``x``."""
     k = len(sig)
+    at = [0] * (k + 1) + [len(used)]  # sigma's letter value -> word value
+    bounds = []  # each letter to place, after x, with its nearest placed letters
+    placed = {0, sig[-2], k + 1}  # 0 and k + 1 bound the values 1..n
+    for s in (*sig[:-2], sig[-1]):
+        bounds.append((s, max(t for t in placed if t < s), min(t for t in placed if t > s)))
+        placed.add(s)
 
-    def allows(v: int) -> bool:
-        if len(prefix) < k - 1:
-            return True
-        for combo in itertools.combinations(prefix, k - 1):
-            if _order_isomorphic(combo + (v,), sig):
-                return False
-        return True
+    def completes(depth: int, start: int) -> bool:
+        s, below, above = bounds[depth]
+        lo, hi = at[below], at[above]
+        if depth == k - 2:
+            return used.find(0, lo + 1, hi) >= 0
+        for i in range(start, len(prefix) - (k - 3 - depth)):  # room for the later letters
+            if lo < prefix[i] < hi:
+                at[s] = prefix[i]
+                if completes(depth + 1, i + 1):
+                    return True
+        return False
+
+    def allows(x: int) -> bool:
+        at[sig[-2]] = x
+        return not completes(0, 0)
 
     return allows
 

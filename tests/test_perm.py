@@ -11,6 +11,7 @@ from hookcomb.perm import (
     avoiders,
     bruhat_leq,
     find_occurrence,
+    _guard,
     _guard3,
     ltr_maxima,
 )
@@ -29,6 +30,7 @@ from .conftest import (
 )
 
 ALL_S3 = [Permutation(p) for p in itertools.permutations((1, 2, 3))]
+S4_TEXTS = ["".join(map(str, p)) for p in itertools.permutations((1, 2, 3, 4))]
 
 
 class TestConstruction:
@@ -137,20 +139,18 @@ class TestAvoiders:
         words = [pi.entries for pi in avoiders(6, PATTERN_312)]
         assert words == sorted(words)
 
-    def test_length_4_pattern_uses_generic_guard(self):
-        # also length 1, which takes the same guard
-        for text in ("1234", "2413", "1"):
-            sigma = perm(text)
-            assert list(avoiders(6, sigma)) == brute_avoiders(6, sigma), text
-        # length 2 yields its one monotone word directly
-        for text in ("12", "21"):
-            sigma = perm(text)
-            for n in range(9):
-                assert list(avoiders(n, sigma)) == brute_avoiders(n, sigma), (text, n)
+    @pytest.mark.parametrize(
+        "text", ["1", "12", "21", *S4_TEXTS, "52341", "24153", "623451"]
+    )
+    def test_other_lengths_match_filter_oracle(self, text):
+        """Lengths 1 and 2 are answered directly (length 2 checked up to
+        n = 8); longer patterns take ``_guard``."""
+        sigma = perm(text)
+        for n in range(9 if sigma.n == 2 else 7):
+            assert list(avoiders(n, sigma)) == brute_avoiders(n, sigma), n
 
-    @pytest.mark.parametrize("sigma", ALL_S3)
-    @pytest.mark.parametrize("n", range(7))
-    def test_length_3_guard_has_no_dead_ends(self, n, sigma):
+    @staticmethod
+    def assert_no_dead_ends(n, sigma, guard):
         """``allows(x)`` holds exactly when prefix + x begins an avoider."""
         members = [pi.entries for pi in brute_avoiders(n, sigma)]
         prefixes = {word[:i] for word in members for i in range(n + 1)}
@@ -158,10 +158,37 @@ class TestAvoiders:
             used = bytearray(n + 1)
             for v in prefix:
                 used[v] = 1
-            allows = _guard3(sigma.entries, used)
+            allows = guard(sigma.entries, list(prefix), used)
             for x in range(1, n + 1):
                 if not used[x]:
                     assert allows(x) == (prefix + (x,) in prefixes)
+
+    @pytest.mark.parametrize("sigma", ALL_S3)
+    @pytest.mark.parametrize("n", range(7))
+    def test_length_3_guard_has_no_dead_ends(self, n, sigma):
+        self.assert_no_dead_ends(n, sigma, lambda sig, prefix, used: _guard3(sig, used))
+
+    @pytest.mark.parametrize("text", S4_TEXTS)
+    def test_guard_has_no_dead_ends(self, text):
+        for n in range(7):
+            self.assert_no_dead_ends(n, perm(text), _guard)
+
+    @pytest.mark.parametrize("sigma", ALL_S3, ids=str)
+    def test_guard_agrees_with_length_3_guard(self, sigma):
+        """Two implementations of one rule: on every prefix of every
+        permutation of size at most 6, they accept the same values."""
+        for n in range(7):
+            prefixes = {word[:i] for word in itertools.permutations(range(1, n + 1))
+                        for i in range(n + 1)}
+            for prefix in prefixes:
+                used = bytearray(n + 1)
+                for v in prefix:
+                    used[v] = 1
+                allows = _guard(sigma.entries, list(prefix), used)
+                allows3 = _guard3(sigma.entries, used)
+                for x in range(1, n + 1):
+                    if not used[x]:
+                        assert allows(x) == allows3(x), (prefix, x)
 
     def test_generated_words_pass_the_public_check(self):
         # avoiders skips the constructor's check; the words must still pass it
