@@ -117,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    from .experiments import vhc_count_exhaustive
     from .perm import PATTERN_312, Permutation
     from .walks import vhc312_series
 
@@ -134,6 +133,8 @@ def _cmd_count(args) -> int:
         series = vhc312_series(hi)
         rows = [(n, series[n]) for n in range(lo, hi + 1)]
     else:
+        from .experiments import vhc_count_exhaustive
+
         # largest size first, so an over-cap size is refused before any work
         rows = [(n, vhc_count_exhaustive(n, pattern))
                 for n in range(hi, lo - 1, -1)][::-1]

@@ -37,8 +37,8 @@ _TAMARI_LIMIT = 10
 #: and length 4 or more ``perm._guard``
 _EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 0.4 s "
                               "(213: 0.9 s), and 1..4000 takes 2.5 s"),
-                     3: (12, "count --pattern 132 --n 1..12 takes 0.15 s "
-                             "at a 15 MB peak, and n = 13 alone 0.15 s"),
+                     3: (14, "count --pattern 1234 --n 1..14 takes 1.3 s "
+                             "at a 27 MB peak (132: 0.6 s), and n = 15 alone 1.9 s"),
                      4: (9, "count --pattern 623451 --n 1..9 takes 0.9 s, "
                             "and n = 10 alone 8 s")}
 _MIN_FIT_POINTS = 50
@@ -69,7 +69,7 @@ def vhc_count_exhaustive(n: int, pattern: Permutation) -> int:
     the ``carriers`` runs ``enumerate_vhcs``.  The two agree for every
     pattern with a length-3 ``sigma'`` and length at most 4 at every
     ``n <= 9`` in the tests, and the count for 132 equals the number of
-    T-intervals one size down for every ``n <= 12``.
+    T-intervals one size down for every ``n <= 14``.
     """
     _check_exhaustive(n, pattern)
     if n > 0 and _carrier_pattern(pattern).n == 3:

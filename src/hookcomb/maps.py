@@ -202,10 +202,8 @@ def ll_map(v: Vhc) -> Interval:
     both have length ``n - 1``.
     """
     if v.pi.n < 1:
-        raise ValueError("frame needs a nonempty permutation")
-    # the refusal names the frame of maxima and gaps, the step that needs
-    # the class
-    _require_avoiding(v.pi, PATTERN_312, "ll_frame")
+        raise ValueError("ll_map needs a nonempty permutation")
+    _require_avoiding(v.pi, PATTERN_312, "ll_map")
     return _ll_map(v)
 
 

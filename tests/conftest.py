@@ -5,7 +5,8 @@ symmetric groups or full step products so that the package's pruned
 generators and dynamic programs have something independent to agree with.
 The geometric validator, the pattern test, the single-height slides, the
 northwest representatives and stripes point by point, the maps built on
-them, the pivot points, the frame of ``ll_map``, the lng scan, the
+them, the pivot points, the frame of ``ll_map``, the Motzkin numbers by
+convolution, the first occurrences of the patterns of S3, the lng scan, the
 rebuilding of a path from its class and support, and the Dyck-prefix
 order are oracles only, and the identity permutation, the descents, the
 reduction of a configuration and the left-to-right minima are read only by
@@ -65,6 +66,30 @@ def brute_occurrence(pi: Permutation, sigma: Permutation) -> tuple[int, ...] | N
         if all((word[a] < word[b]) == (sig[a] < sig[b]) for a, b in pairs):
             return tuple(c + 1 for c in combo)
     return None
+
+
+@pytest.fixture(scope="session")
+def s3_first_occurrences() -> dict[Permutation, dict[Permutation, tuple[int, ...]]]:
+    """``brute_occurrence`` for the six patterns of S3 at once, over every
+    permutation of size <= 8: for each, the lexicographically first
+    occurrence of each pattern it contains, from one pass over its
+    3-subsets of positions in lexicographic order."""
+    shapes = {
+        (s[0] < s[1], s[0] < s[2], s[1] < s[2]): sigma
+        for sigma in all_permutations(3) for s in [sigma.entries]
+    }
+    table = {}
+    for n in range(9):
+        for pi in all_permutations(n):
+            ent, first = pi.entries, {}
+            for i, j, k in itertools.combinations(range(n), 3):
+                sigma = shapes[ent[i] < ent[j], ent[i] < ent[k], ent[j] < ent[k]]
+                if sigma not in first:
+                    first[sigma] = (i + 1, j + 1, k + 1)
+                    if len(first) == len(shapes):
+                        break
+            table[pi] = first
+    return table
 
 
 def contains_pattern(pi: Permutation, sigma: Permutation) -> bool:
@@ -486,6 +511,17 @@ def ll_frame(v: Vhc) -> Frame:
               for m, b in zip(left, below)),
         tuple("U" if r.index in v.ne_set else "E" for r in right),
     )
+
+
+def motzkin_by_convolution(n_max: int) -> list[int]:
+    """Oracle for ``motzkin_number``: M(0..n_max) by the recurrence
+    M(k) = M(k-1) + sum of M(j) M(k-2-j) over j < k - 1 (a first step E,
+    or a first U matched by the D that closes a path of length j)."""
+    m = [1, 1]
+    while len(m) <= n_max:
+        k = len(m)
+        m.append(m[k - 1] + sum(m[j] * m[k - 2 - j] for j in range(k - 1)))
+    return m[: n_max + 1]
 
 
 def lng_scan(p: MotzkinPath) -> tuple[int, ...]:

@@ -116,9 +116,9 @@ class TestMap:
          "w_map_left_inverse needs a 312-avoiding permutation; 14235 matches it "
          "at positions (2, 3, 4) (values (4, 2, 3))"),
         (["ll", "--perm", "14235", "--ne", "5"],
-         "ll_frame needs a 312-avoiding permutation; 14235 matches it at "
+         "ll_map needs a 312-avoiding permutation; 14235 matches it at "
          "positions (2, 3, 4) (values (4, 2, 3))"),
-        (["ll", "--perm", "", "--ne", ""], "frame needs a nonempty permutation"),
+        (["ll", "--perm", "", "--ne", ""], "ll_map needs a nonempty permutation"),
     ], ids=["swl", "swl-commas", "swr", "w", "winv", "ll", "ll-empty"])
     def test_refusal_bytes(self, capsys, argv, stderr):
         assert main(["map", "--name", *argv]) == 2
@@ -189,8 +189,8 @@ class TestCount:
 
     @pytest.mark.parametrize(
         "argv,cap,cost",
-        [(["--pattern", "132", "--n", "1..13"], 12, "n = 13 alone 0.15 s"),
-         (["--pattern", "312", "--n", "13", "--method", "enumerate"], 12, "n = 13 alone 0.15 s"),
+        [(["--pattern", "132", "--n", "1..15"], 14, "n = 15 alone 1.9 s"),
+         (["--pattern", "312", "--n", "15", "--method", "enumerate"], 14, "n = 15 alone 1.9 s"),
          (["--pattern", "2413", "--n", "0..10", "--output", "csv"], 9, "n = 10 alone 8 s"),
          (["--pattern", "213", "--n", "2001"], 2000, "1..4000 takes 2.5 s")],
         ids=["132", "312-enumerate", "2413", "213"],  # stable when a cost is re-measured
@@ -310,9 +310,9 @@ class TestSequencesAndChecks:
         assert fit["window"] == [50, 110]
 
     def test_conjectures_over_cap_fails_fast(self):
-        proc = run("check", "--suite", "conjectures", "--nmax", "13", check=False)
+        proc = run("check", "--suite", "conjectures", "--nmax", "15", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "capped at n <= 12" in proc.stderr and "n = 13 alone 0.15 s" in proc.stderr
+        assert "capped at n <= 14" in proc.stderr and "n = 15 alone 1.9 s" in proc.stderr
 
     @pytest.mark.parametrize(
         "suite,nmax",
@@ -470,7 +470,8 @@ class TestStartup:
          {"experiments", "render"}),
         (["count", "--pattern", "132", "--n", "1..5", "--method", "enumerate"], None,
          {"maps", "render"}),
-    ], ids=["walks", "intervals", "map", "count"])
+        (["count", "--pattern", "312", "--n", "1..5"], {"frozen", "perm", "walks"}, None),
+    ], ids=["walks", "intervals", "map", "count", "count-formula"])
     def test_a_command_loads_only_its_layers(self, argv, allowed, forbidden):
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(

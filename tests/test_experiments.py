@@ -2,6 +2,7 @@ import math
 import random
 import re
 import time
+from functools import lru_cache, partial
 
 import pytest
 
@@ -152,9 +153,17 @@ COUNTED_PATTERNS = tuple(
     for sigma in (*all_permutations(3), *(perm(f"{p}4") for p in all_permutations(3)))
     if _carrier_pattern(sigma).n == 3
 )
-#: the count for 132 at its cap, n = 12, took 0.06 s in a fresh process
-#: on a 2-core Xeon (1.7 s when every configuration was listed)
+#: the count for 132 at its cap, n = 14, took 0.30-0.37 s in a fresh
+#: process on a 2-core Xeon (at n = 12, 1.7 s when every configuration was
+#: listed)
 COUNT_AT_CAP_BUDGET_S = 1.0
+
+
+@lru_cache(maxsize=None)
+def t_interval_count(n: int) -> int:
+    """``count_intervals("T", n)``, counted once for the two tests that
+    read it (1.9 s at n = 13)."""
+    return count_intervals("T", n)
 
 
 def listed_count(n: int, sigma, reduced: bool) -> int:
@@ -188,7 +197,7 @@ class TestCarrierCount:
         """An oracle through the paper's bijection: the configurations on
         132-avoiders of size n match the T-intervals of length n - 1."""
         for n in range(1, _EXHAUSTIVE_LIMIT[3][0] + 1):
-            assert vhc_count_exhaustive(n, PATTERN_132) == count_intervals("T", n - 1), n
+            assert vhc_count_exhaustive(n, PATTERN_132) == t_interval_count(n - 1), n
 
     def test_negative_size_raises(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
@@ -200,13 +209,14 @@ class TestCarrierCount:
         start = time.perf_counter()
         count = _carrier_count(_EXHAUSTIVE_LIMIT[3][0], PATTERN_132, reduced=False)
         assert time.perf_counter() - start < COUNT_AT_CAP_BUDGET_S
-        assert count == count_intervals("T", _EXHAUSTIVE_LIMIT[3][0] - 1)
+        assert count == t_interval_count(_EXHAUSTIVE_LIMIT[3][0] - 1)
 
 
 class TestExhaustiveCaps:
     @pytest.mark.parametrize(
-        "text,cap", [("123", 2000), ("213", 2000), ("132", 12), ("312", 12),
-                     ("1324", 12), ("2413", 9), ("4231", 9), ("12354", 9)],
+        "text,cap", [("123", 2000), ("213", 2000), ("132", _EXHAUSTIVE_LIMIT[3][0]),
+                     ("312", _EXHAUSTIVE_LIMIT[3][0]), ("1324", _EXHAUSTIVE_LIMIT[3][0]),
+                     ("2413", 9), ("4231", 9), ("12354", 9)],
     )
     def test_refused_past_the_cap(self, text, cap):
         with pytest.raises(ValueError, match=f"n <= {cap}: "):
@@ -231,8 +241,9 @@ class TestExhaustiveCaps:
         import hookcomb.experiments
 
         monkeypatch.setattr(hookcomb.experiments, "triangle", None)
-        with pytest.raises(ValueError, match="132-avoiders .* n <= 12"):
-            check_conjectures(k_max=2, bruhat_n_max=13)
+        cap = _EXHAUSTIVE_LIMIT[3][0]
+        with pytest.raises(ValueError, match=f"132-avoiders .* n <= {cap}"):
+            check_conjectures(k_max=2, bruhat_n_max=cap + 1)
 
 
 class TestEq2:
@@ -455,21 +466,26 @@ class TestFit:
             asymptotic_fit(100, 120)
 
 
-@pytest.mark.parametrize("call,args", [
-    pytest.param(count_walks, (_KMAX_LIMIT + 1,), id="kmax"),
-    pytest.param(triangle, (_TRIANGLE_LIMIT + 1,), id="triangle"),
-    pytest.param(check_eq2, (_EXHAUSTIVE_LIMIT[3][0] + 1, 2), id="eq2"),
-    pytest.param(check_tamari_image, (_TAMARI_LIMIT + 1,), id="tamari"),
-    *(pytest.param(vhc_count_exhaustive,
-                   (_EXHAUSTIVE_LIMIT[length][0] + 1, perm(text)),
-                   id=f"exhaustive-{text}")
+@pytest.mark.parametrize("refuse,cap,far", [
+    pytest.param(count_walks, _KMAX_LIMIT, 10**6, id="kmax"),
+    pytest.param(triangle, _TRIANGLE_LIMIT, 10**6, id="triangle"),
+    pytest.param(partial(check_eq2, k_max=2), _EXHAUSTIVE_LIMIT[3][0], 10**6, id="eq2"),
+    pytest.param(check_tamari_image, _TAMARI_LIMIT, 10**6, id="tamari"),
+    *(pytest.param(partial(vhc_count_exhaustive, pattern=perm(text)),
+                   _EXHAUSTIVE_LIMIT[length][0], 10**6, id=f"exhaustive-{text}")
       for length, text in ((2, "213"), (3, "132"), (4, "4231"))),
-    *(pytest.param(enumerate_intervals, (order, _INTERVAL_LIMIT[order][0] + 1),
+    *(pytest.param(partial(enumerate_intervals, order), _INTERVAL_LIMIT[order][0], 3000,
                    id=f"intervals-{order}")
       for order in "SCT"),
 ])
-def test_every_cap_states_its_cost(call, args):
-    """One size past each cap is refused with a measured cost in seconds."""
-    with pytest.raises(ValueError) as info:
-        call(*args)
-    assert re.search(r"\b\d+(\.\d+)? s\b", str(info.value)), str(info.value)
+def test_every_cap_states_its_cost(refuse, cap, far):
+    """One size past each cap, and one far past it, are refused within
+    0.5 s of CPU time with a measured cost in seconds: a refusal computes
+    nothing that grows with the size.  The interval orders go to 3000, not
+    10**6: there a refusal that counted the paths takes seconds, not hours."""
+    for n in (cap + 1, far):
+        start = time.process_time()
+        with pytest.raises(ValueError) as info:
+            refuse(n)
+        assert time.process_time() - start < 0.5, n
+        assert re.search(r"\b\d+(\.\d+)? s\b", str(info.value)), str(info.value)

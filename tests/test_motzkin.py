@@ -18,7 +18,13 @@ from hookcomb.motzkin import (
     support,
 )
 
-from .conftest import dyck_prefix_leq, is_dyck_prefix, lng_scan, reconstruct
+from .conftest import (
+    dyck_prefix_leq,
+    is_dyck_prefix,
+    lng_scan,
+    motzkin_by_convolution,
+    reconstruct,
+)
 
 
 @lru_cache(maxsize=None)
@@ -168,6 +174,11 @@ class TestEnumeration:
         assert [motzkin_number(n) for n in range(11)] == [
             1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188,
         ]
+
+    def test_binomial_sum_matches_convolution(self):
+        assert [motzkin_number(n) for n in range(301)] == motzkin_by_convolution(300)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            motzkin_number(-1)
 
     def test_lex_order_with_u_d_e(self):
         """The paths are built unchecked: they are the words over U < D < E,

@@ -19,7 +19,6 @@ from hookcomb.perm import (
 from .conftest import (
     all_permutations,
     brute_avoiders,
-    brute_occurrence,
     catalan,
     contains_pattern,
     descent_bottoms,
@@ -73,13 +72,12 @@ class TestPatterns:
         assert find_occurrence(perm("2143"), PATTERN_132) == (1, 3, 4)
 
     @pytest.mark.parametrize("sigma", ALL_S3, ids=str)
-    def test_agrees_with_brute_force(self, sigma):
+    def test_agrees_with_brute_force(self, sigma, s3_first_occurrences):
         """The replay of the extension rule and the refusal search give the
         verdict and the lexicographically first occurrence of the scan over
-        every 3-subset of positions."""
-        for n in range(9):
-            for pi in all_permutations(n):
-                assert find_occurrence(pi, sigma) == brute_occurrence(pi, sigma), pi
+        every 3-subset of positions, for every permutation of size <= 8."""
+        for pi, first in s3_first_occurrences.items():
+            assert find_occurrence(pi, sigma) == first.get(sigma), pi
 
     def test_only_length_3_patterns(self):
         for sigma in (Permutation(()), perm("21"), perm("1324")):
