@@ -130,14 +130,12 @@ def _cmd_count(args) -> int:
     if lo < 0:
         raise ValueError("--n must be >= 0")
     if pattern == PATTERN_312 and args.method != "enumerate":
-        series = vhc312_series(hi)
-        rows = [(n, series[n]) for n in range(lo, hi + 1)]
+        counts = vhc312_series(hi)
     else:
         from .experiments import vhc_count_exhaustive
 
-        # largest size first, so an over-cap size is refused before any work
-        rows = [(n, vhc_count_exhaustive(n, pattern))
-                for n in range(hi, lo - 1, -1)][::-1]
+        counts = vhc_count_exhaustive(hi, pattern)
+    rows = [(n, counts[n]) for n in range(lo, hi + 1)]
     if args.output == "csv":
         _write(["n,count\n", *(f"{n},{value}\n" for n, value in rows)])
     elif lo == hi:

@@ -5,11 +5,11 @@ the hook-weighted walk DP of ``walks``.  The exhaustive counts here
 (``reduced_count``, ``vhc_count_exhaustive``, the Tamari image) are the
 left sides of the identity checks.  They range over ``vhc.carriers``, the
 only avoiders with a configuration: the counts for a length-3 ``sigma'``
-in one memoized search that grows the carriers and sweeps their hooks
-together (``_carrier_count``), the other counts and the Tamari image by
-listing the configurations on each carrier.  Everything is read-only over
-exact counts.  Checkers return lists of JSON-serializable report entries
-such as
+over every size up to a bound, in one memoized search that grows the
+carriers and sweeps their hooks together (``_carrier_counts``), the other
+counts and the Tamari image by listing the configurations on each carrier.
+Everything is read-only over exact counts.  Checkers return lists of
+JSON-serializable report entries such as
 
     {"check": "conjecture2", "k": 3, "lhs": "5", "rhs": "5", "verdict": "holds"}
 
@@ -22,7 +22,7 @@ reader.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import re
 from itertools import accumulate, permutations
 from typing import NamedTuple
 
@@ -37,11 +37,12 @@ _TAMARI_LIMIT = 10
 #: and length 4 or more ``perm._guard``
 _EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 0.4 s "
                               "(213: 0.9 s), and 1..4000 takes 2.5 s"),
-                     3: (14, "count --pattern 1234 --n 1..14 takes 1.3 s "
-                             "at a 27 MB peak (132: 0.6 s), and n = 15 alone 1.9 s"),
+                     3: (14, "count --pattern 1234 --n 1..14 takes 0.6 s "
+                             "at a 26 MB peak (132: 0.2 s), and n = 15 alone 1.5 s"),
                      4: (9, "count --pattern 623451 --n 1..9 takes 0.9 s, "
                             "and n = 10 alone 8 s")}
 _MIN_FIT_POINTS = 50
+_USED_RUN = re.compile(rb"\x01+")
 
 _S3 = tuple(Permutation(p) for p in permutations((1, 2, 3)))
 
@@ -53,100 +54,101 @@ def catalan(m: int) -> int:
 # --- exhaustive tallies ----------------------------------------------------
 
 
-def _check_exhaustive(n: int, pattern: Permutation) -> None:
+def _check_exhaustive(n_max: int, pattern: Permutation) -> None:
+    if n_max < 0:
+        raise ValueError("n must be >= 0")
     cap, cost = _EXHAUSTIVE_LIMIT[min(max(_carrier_pattern(pattern).n, 2), 4)]
-    if n > cap:
+    if n_max > cap:
         raise ValueError(f"exhaustive counts over {pattern}-avoiders are capped "
                          f"at n <= {cap}: {cost} on a 2-core Xeon")
 
 
-@lru_cache(maxsize=None)
-def vhc_count_exhaustive(n: int, pattern: Permutation) -> int:
-    """Number of configurations on ``pattern``-avoiders of size ``n``.
+def vhc_count_exhaustive(n_max: int, pattern: Permutation) -> list[int]:
+    """Numbers of configurations on ``pattern``-avoiders of sizes
+    ``0..n_max``.
 
-    When ``sigma'`` (``vhc._carrier_pattern``) has length 3 and ``n >= 1``
-    they are counted, not listed, by ``_carrier_count``; otherwise each of
-    the ``carriers`` runs ``enumerate_vhcs``.  The two agree for every
+    When ``sigma'`` (``vhc._carrier_pattern``) has length 3 they are
+    counted, not listed, by ``_carrier_counts``; otherwise each of the
+    ``carriers`` runs ``enumerate_vhcs``.  The two agree for every
     pattern with a length-3 ``sigma'`` and length at most 4 at every
     ``n <= 9`` in the tests, and the count for 132 equals the number of
     T-intervals one size down for every ``n <= 14``.
     """
-    _check_exhaustive(n, pattern)
-    if n > 0 and _carrier_pattern(pattern).n == 3:
-        return _carrier_count(n, pattern, reduced=False)
-    return sum(
-        sum(1 for _ in enumerate_vhcs(pi)) for pi in carriers(n, pattern)
-    )
+    _check_exhaustive(n_max, pattern)
+    if _carrier_pattern(pattern).n == 3:
+        return _carrier_counts(n_max, pattern, reduced=False)
+    return [sum(sum(1 for _ in enumerate_vhcs(pi)) for pi in carriers(n, pattern))
+            for n in range(n_max + 1)]
 
 
-def reduced_count(n: int) -> int:
-    """Number of reduced configurations on 312-avoiders of size ``n`` (the
-    left side of ``check_eq2``), counted by ``_carrier_count``; the empty
-    configuration is reduced.  Equal to the reduced filter of
-    ``tests/conftest.py`` over ``enumerate_vhcs`` on the ``carriers`` for
-    every ``n <= 11``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _carrier_count(n, PATTERN_312, reduced=True) if n else 1
+def reduced_count(n_max: int) -> list[int]:
+    """Numbers of reduced configurations on 312-avoiders of sizes
+    ``0..n_max`` (the left side of ``check_eq2``), counted by
+    ``_carrier_counts``; the empty configuration is reduced.  Equal to the
+    reduced filter of ``tests/conftest.py`` over ``enumerate_vhcs`` on the
+    ``carriers`` for every ``n <= 11``."""
+    _check_exhaustive(n_max, PATTERN_312)
+    return _carrier_counts(n_max, PATTERN_312, reduced=True)
 
 
-def _carrier_count(n: int, pattern: Permutation, reduced: bool) -> int:
-    """Configurations on ``carriers(n, pattern)``, for ``n >= 1`` and a
-    length-3 ``sigma'``; with ``reduced``, only the reduced ones.
+def _carrier_counts(n_max: int, pattern: Permutation, reduced: bool) -> list[int]:
+    """Configurations on ``carriers(n, pattern)`` for every ``n <= n_max``,
+    for a length-3 ``sigma'``; with ``reduced``, only the reduced ones.
 
-    One depth-first search grows ``tau``, the carrier less its last point
-    ``n``, by the extension rule ``perm._guard3``, and runs the sweep of
-    ``vhc._matching`` alongside: the point before a lower one is a descent
-    top and opens a hook, and a point that tops the innermost open hook's
-    descent top closes that hook, or does not (the close rule of ``vhc``).
-    ``n`` can then close one last hook.  The count below a prefix depends
-    only on what the rest of the search reads, so it is memoized on that:
-    the used values (all that ``_guard3`` reads), the last value and the
-    descent tops of the open hooks (the comparisons of the sweep), and, for
-    ``reduced``, whether the last point is still neither a hook endpoint
-    nor a descent bottom, so that it must be a descent top.  Each of these
-    values is compared only with unused ones, so it enters the key as the
-    number of unused values below it, which merges more prefixes.  The key
-    is one int: a 1 bit, those ranks in fixed-width fields, the flag, and
-    the used values as a bit mask.  At n = 12 the memo holds 8196 entries
-    for 132.
+    One depth-first search per size grows ``tau``, the carrier less its
+    last point ``n``, by the extension rule ``perm._guard3``, and runs the
+    sweep of ``vhc._matching`` alongside: the point before a lower one is a
+    descent top and opens a hook, and a point that tops the innermost open
+    hook's descent top closes that hook, or does not (the close rule of
+    ``vhc``).  ``n`` can then close one last hook.  The count below a
+    prefix depends only on what the rest of the search reads, so it is
+    memoized on that.  ``_guard3`` and the sweep compare used values only
+    with unused ones, so the key is the used/unused word of ``1..n-1`` with
+    each run of used values one mark, the flag ``bare`` (for ``reduced``:
+    the last point is neither a hook endpoint nor a descent bottom yet, so
+    it must be a descent top), and the number of unused values below the
+    last value and below each open hook's descent top.  The key does not
+    hold ``n``, so one memo serves every size.  Equal to the earlier
+    search, one size at a time with a bit mask of the used values in its
+    key, for every length-3 ``sigma'`` (the patterns 132, 231, 312, 321,
+    1234 and 2134) and for reduced 312, at every ``n <= 14``.
     """
-    used = bytearray(n)  # the values 1..n-1 of tau
+    used = bytearray(1)  # the flags of the values 1..n-1, grown with n
     allows = _guard3(_carrier_pattern(pattern).entries, used)
-    width = n.bit_length()
-    memo: dict[int, int] = {}
+    memo: dict[tuple, int] = {}
 
-    def count(depth: int, mask: int, last: int, tops: tuple[int, ...],
-              bare: bool) -> int:
-        if len(tops) > n - depth:
+    def count(left: int, last: int, tops: tuple[int, ...], bare: bool) -> int:
+        if len(tops) > left + 1:
             return 0  # each point left closes at most one hook
-        if depth == n - 1:
+        if not left:
             # n closes the innermost hook; a reduced configuration needs it
             # to, since n is no descent bottom or top
             return int(len(tops) == 1 and not bare) if reduced else 1
-        key = 1
-        for v in (*tops, last):
-            key = key << width | used.count(0, 1, v)
-        key = (key << 1 | bare) << n | mask
+        key = (_USED_RUN.sub(b"\x01", used), bare,
+               *[used.count(0, 1, v) for v in (last, *tops)])
         total = memo.get(key)
         if total is not None:
             return total
         total = 0
-        for x in range(1, n):
+        for x in range(1, len(used)):
             if used[x] or not allows(x):
                 continue
             used[x] = 1
             if last > x:  # a descent: a hook opens at last
-                total += count(depth + 1, mask | 1 << x, x, (*tops, last), False)
+                total += count(left - 1, x, (*tops, last), False)
             elif not bare:
                 if tops and x > tops[-1]:
-                    total += count(depth + 1, mask | 1 << x, x, tops[:-1], False)
-                total += count(depth + 1, mask | 1 << x, x, tops, reduced)
+                    total += count(left - 1, x, tops[:-1], False)
+                total += count(left - 1, x, tops, reduced)
             used[x] = 0
         memo[key] = total
         return total
 
-    return count(0, 0, 0, (), False)
+    counts = [1]
+    for n in range(1, n_max + 1):
+        counts.append(count(n - 1, 0, (), False))
+        used.append(0)
+    return counts
 
 
 def _reduced_series(walks: tuple[int, ...]) -> list[int]:
@@ -225,12 +227,11 @@ def check_eq2(n_max: int, k_max: int) -> list[dict]:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _check_exhaustive(n_max, PATTERN_312)  # reduced_count runs the same search
+    _check_exhaustive(n_max, PATTERN_312)  # reduced_count's cap, before the triangle
     rows = triangle(k_max)
     formula = _reduced_series(count_walks(max(n_max - 1, 0)))
-    report = [
-        _entry("eq2", reduced_count(n), formula[n], n=n) for n in range(n_max + 1)
-    ]
+    report = [_entry("eq2", lhs, formula[n], n=n)
+              for n, lhs in enumerate(reduced_count(n_max))]
     # the triangle grouped by size n = 2k + i must reproduce the formula,
     # but only where every contributing row has been computed
     for n in range(n_max + 1):
@@ -329,11 +330,8 @@ def check_conjectures(k_max: int, bruhat_n_max: int) -> list[dict]:
         )
     # the 312 column is the walk series, which criterion 03 checks against
     # the exhaustive count; the other five classes are swept
-    counts = {
-        sigma: [vhc_count_exhaustive(n, sigma) for n in range(1, bruhat_n_max + 1)]
-        for sigma in _S3
-        if sigma != PATTERN_312
-    }
+    counts = {sigma: vhc_count_exhaustive(bruhat_n_max, sigma)[1:]
+              for sigma in _S3 if sigma != PATTERN_312}
     counts[PATTERN_312] = list(vhc312_series(bruhat_n_max)[1:])
     for sigma in _S3:
         for tau in _S3:

@@ -78,9 +78,6 @@ class MotzkinPath(Frozen):
     def __len__(self) -> int:
         return len(self.steps)
 
-    def __iter__(self):
-        return iter(self.steps)
-
     def __str__(self) -> str:
         return self.steps
 
@@ -175,7 +172,7 @@ def enumerate_paths(n: int) -> Iterator[MotzkinPath]:
             if 0 <= h + rise < n - len(word):
                 yield from rec(word + step, h + rise)
 
-    yield from rec("", 0)
+    return rec("", 0)
 
 
 def enumerate_intervals(order: str, n: int) -> Iterator[Interval]:

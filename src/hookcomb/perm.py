@@ -63,12 +63,6 @@ class Permutation(Frozen):
     def n(self) -> int:
         return len(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
     def points(self) -> tuple[Point, ...]:
         return tuple(Point(i + 1, v) for i, v in enumerate(self.entries))
 
@@ -178,13 +172,13 @@ def _avoider_words(n: int, sigma: Permutation) -> Iterator[tuple[int, ...]]:
     if n < 0:
         raise ValueError("n must be >= 0")
     if sigma.n == 0 or (sigma.n == 1 and n > 0):
-        return  # the empty pattern occurs in every word, a letter in every nonempty one
+        # the empty pattern occurs in every word, a letter in every nonempty one
+        return iter(())
     if n == 0:
-        yield ()
-        return
+        return iter([()])
     if sigma.n == 2:
-        yield tuple(range(1, n + 1) if sigma.entries == (2, 1) else range(n, 0, -1))
-        return
+        monotone = range(1, n + 1) if sigma.entries == (2, 1) else range(n, 0, -1)
+        return iter([tuple(monotone)])
 
     used = bytearray(n + 1)
     prefix: list[int] = []
@@ -206,7 +200,7 @@ def _avoider_words(n: int, sigma: Permutation) -> Iterator[tuple[int, ...]]:
             prefix.pop()
             used[v] = 0
 
-    yield from rec()
+    return rec()
 
 
 def _guard3(sig: tuple[int, ...], used: bytearray) -> Callable[[int], bool]:

@@ -186,8 +186,7 @@ def carriers(n: int, sigma: Permutation) -> Iterator[Permutation]:
     every pattern of length 1 to 4 at every ``n <= 7``.
     """
     if n == 0:
-        yield from avoiders(0, sigma)
-        return
-    for tau in _avoider_words(n - 1, _carrier_pattern(sigma)):
-        yield Permutation._trusted(tau + (n,))
+        return avoiders(0, sigma)
+    return (Permutation._trusted(tau + (n,))
+            for tau in _avoider_words(n - 1, _carrier_pattern(sigma)))
 

@@ -181,6 +181,11 @@ class TestCount:
         proc = run("count", "--pattern", "312", "--n=-1..3", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
 
+    def test_empty_range_is_config_error(self):
+        proc = run("count", "--pattern", "312", "--n", "9..3", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "empty range '9..3'" in proc.stderr
+
     def test_table_over_cap_fails_fast(self):
         proc = run("count", "--pattern", "312", "--n", "1..1002", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
@@ -189,8 +194,8 @@ class TestCount:
 
     @pytest.mark.parametrize(
         "argv,cap,cost",
-        [(["--pattern", "132", "--n", "1..15"], 14, "n = 15 alone 1.9 s"),
-         (["--pattern", "312", "--n", "15", "--method", "enumerate"], 14, "n = 15 alone 1.9 s"),
+        [(["--pattern", "132", "--n", "1..15"], 14, "n = 15 alone 1.5 s"),
+         (["--pattern", "312", "--n", "15", "--method", "enumerate"], 14, "n = 15 alone 1.5 s"),
          (["--pattern", "2413", "--n", "0..10", "--output", "csv"], 9, "n = 10 alone 8 s"),
          (["--pattern", "213", "--n", "2001"], 2000, "1..4000 takes 2.5 s")],
         ids=["132", "312-enumerate", "2413", "213"],  # stable when a cost is re-measured
@@ -312,7 +317,7 @@ class TestSequencesAndChecks:
     def test_conjectures_over_cap_fails_fast(self):
         proc = run("check", "--suite", "conjectures", "--nmax", "15", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "capped at n <= 14" in proc.stderr and "n = 15 alone 1.9 s" in proc.stderr
+        assert "capped at n <= 14" in proc.stderr and "n = 15 alone 1.5 s" in proc.stderr
 
     @pytest.mark.parametrize(
         "suite,nmax",

@@ -400,6 +400,11 @@ class TestPhi:
             assert Interval(*rebuilt, "C") == interval
             assert phi(interval) == (x, y)
 
+    def test_rejects_an_interval_that_is_not_class_related(self):
+        # EE <= UD in the S order, but their classes EE and U differ
+        with pytest.raises(ValueError, match="not a class-order interval"):
+            phi(Interval(MotzkinPath("EE"), MotzkinPath("UD"), "S"))
+
     def test_inverse_rejects_forbidden_pair(self):
         with pytest.raises(ValueError):
             phi_inverse(MotzkinPath("UD"), MotzkinPath("UD"))  # (U, U) step

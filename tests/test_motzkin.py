@@ -180,6 +180,10 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="n must be >= 0"):
             motzkin_number(-1)
 
+    def test_negative_length_raises_at_the_call(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            enumerate_paths(-1)
+
     def test_lex_order_with_u_d_e(self):
         """The paths are built unchecked: they are the words over U < D < E,
         in order, that the public constructor accepts."""

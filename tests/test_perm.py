@@ -197,8 +197,8 @@ class TestAvoiders:
             Permutation((1, 3, 3))
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            list(avoiders(-1, PATTERN_312))
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            avoiders(-1, PATTERN_312)  # the call raises, not the first item
 
 
 class TestDescentsAndExtrema:

@@ -221,8 +221,8 @@ class TestCarriers:
             assert list(carriers(n, sigma)) == expected, (str(sigma), n)
 
     def test_negative_size_raises(self):
-        with pytest.raises(ValueError):
-            list(carriers(-1, PATTERN_312))
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            carriers(-1, PATTERN_312)  # the call raises, not the first item
 
 
 class TestReduction:
@@ -306,7 +306,7 @@ class TestReduction:
         the surviving index set."""
         total = sum(vhc_tallies_312(n)[0].values())
         assert total == sum(
-            comb(n, r) * reduced_count(r) for r in range(n + 1)
+            comb(n, r) * reduced for r, reduced in enumerate(reduced_count(n))
         )
 
 
