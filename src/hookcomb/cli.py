@@ -72,9 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=("json", "csv"), default="csv")
 
     p = sub.add_parser("map", help="apply one of the structural maps")
-    p.add_argument("--name", required=True,
-                   choices=("ll", "llinv", "swl", "swr", "w", "winv",
-                            "phi", "phiinv"))
+    p.add_argument("--name", required=True, choices=tuple(_MAPS))
     p.add_argument("--perm")
     p.add_argument("--ne")
     p.add_argument("--lower")
@@ -157,84 +155,82 @@ def _cmd_walks(args) -> int:
     return 0
 
 
-def _need(args, *names) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(
-            f"map --name {args.name} needs --{', --'.join(missing)}"
-        )
+def _interval_fields(interval) -> dict:
+    return {"lower": str(interval.lower), "upper": str(interval.upper),
+            "order": interval.order}
+
+
+def _vhc_fields(v) -> dict:
+    return {"perm": str(v.pi), "ne": sorted(v.ne_set)}
+
+
+def _class_interval(maps, lower: str, upper: str):
+    return maps.Interval(maps.MotzkinPath(lower), maps.MotzkinPath(upper), "C")
+
+
+def _phi(maps, lower: str, upper: str) -> dict:
+    x, y = maps.phi(_class_interval(maps, lower, upper))
+    return {"x": str(x), "y": str(y)}
+
+
+def _ll_inverse(maps, lower: str, upper: str, n: int) -> dict:
+    if n < 1:
+        raise ValueError("--n must be >= 1")
+    interval = _class_interval(maps, lower, upper)
+    if len(interval.lower) != n - 1:
+        raise ValueError(f"interval has length {len(interval.lower)}, "
+                         f"expected {n - 1}")
+    # never None: both paths share one class
+    return _vhc_fields(maps.ll_inverse(interval))
+
+
+def _w_pullback(maps, perm, ne) -> dict:
+    pulled = maps.w_map_left_inverse(maps.Vhc(perm, ne))
+    return {"perm": str(pulled.perm), "ne": sorted(pulled.ne_indices),
+            "valid": pulled.valid}
+
+
+#: ``map --name`` choices, in order: the inputs each map needs, in the order
+#: a refusal names them, and its call, which takes the ``maps`` module and
+#: the inputs as ``_cmd_map`` reads them and returns the JSON result
+_MAPS = {
+    "ll": (("perm", "ne"), lambda maps, perm, ne: _interval_fields(
+        maps.ll_map(maps.Vhc(perm, ne)))),
+    "llinv": (("lower", "upper", "n"), _ll_inverse),
+    "swl": (("perm",), lambda maps, perm: {"perm": str(maps.swl(perm))}),
+    "swr": (("perm",), lambda maps, perm: {"perm": str(maps.swr(perm))}),
+    "w": (("perm", "ne"), lambda maps, perm, ne: _vhc_fields(
+        maps.w_map(maps.Vhc(perm, ne)))),
+    "winv": (("perm", "ne"), _w_pullback),
+    "phi": (("lower", "upper"), _phi),
+    "phiinv": (("x", "y"), lambda maps, x, y: _interval_fields(
+        maps.phi_inverse(maps.MotzkinPath(x), maps.MotzkinPath(y)))),
+}
+
+
+def _as_given(value):
+    return value
 
 
 def _cmd_map(args) -> int:
-    from .maps import (
-        ll_inverse,
-        ll_map,
-        phi,
-        phi_inverse,
-        swl,
-        swr,
-        w_map,
-        w_map_left_inverse,
-    )
-    from .motzkin import Interval, MotzkinPath
+    from . import maps
     from .perm import Permutation
-    from .vhc import Vhc
 
-    name = args.name
-    audit_input: dict
-    if name in ("ll", "w", "winv"):
-        _need(args, "perm", "ne")
-        pi = Permutation.from_text(args.perm)
-        ne = _parse_ne(args.ne)
-        v = Vhc(pi, ne)
-        audit_input = {"perm": str(pi), "ne": sorted(ne)}
-        if name == "ll":
-            interval = ll_map(v)
-            result = {"lower": str(interval.lower), "upper": str(interval.upper),
-                      "order": "C"}
-        elif name == "w":
-            out = w_map(v)
-            result = {"perm": str(out.pi), "ne": sorted(out.ne_set)}
-        else:
-            pulled = w_map_left_inverse(v)
-            result = {"perm": str(pulled.perm),
-                      "ne": sorted(pulled.ne_indices),
-                      "valid": pulled.valid}
-    elif name in ("swl", "swr"):
-        _need(args, "perm")
-        pi = Permutation.from_text(args.perm)
-        audit_input = {"perm": str(pi)}
-        image = swl(pi) if name == "swl" else swr(pi)
-        result = {"perm": str(image)}
-    elif name == "phi":
-        _need(args, "lower", "upper")
-        interval = Interval(MotzkinPath(args.lower), MotzkinPath(args.upper), "C")
-        audit_input = {"lower": args.lower, "upper": args.upper}
-        x, y = phi(interval)
-        result = {"x": str(x), "y": str(y)}
-    elif name == "phiinv":
-        _need(args, "x", "y")
-        audit_input = {"x": args.x, "y": args.y}
-        interval = phi_inverse(MotzkinPath(args.x), MotzkinPath(args.y))
-        result = {"lower": str(interval.lower), "upper": str(interval.upper),
-                  "order": "C"}
-    else:  # llinv
-        _need(args, "lower", "upper", "n")
-        if args.n < 1:
-            raise ValueError("--n must be >= 1")
-        interval = Interval(MotzkinPath(args.lower), MotzkinPath(args.upper), "C")
-        audit_input = {"lower": args.lower, "upper": args.upper, "n": args.n}
-        if len(interval.lower) != args.n - 1:
-            raise ValueError(f"interval has length {len(interval.lower)}, "
-                             f"expected {args.n - 1}")
-        v = ll_inverse(interval)  # never None: both paths share one class
-        result = {"perm": str(v.pi), "ne": sorted(v.ne_set)}
+    inputs, call = _MAPS[args.name]
+    missing = [key for key in inputs if getattr(args, key) is None]
+    if missing:
+        raise ValueError(f"map --name {args.name} needs --{', --'.join(missing)}")
+    # how each input is read, and how --audit echoes what was read
+    forms = {"perm": (Permutation.from_text, str), "ne": (_parse_ne, sorted)}
+    read, echo = {}, {}
+    for key in inputs:
+        parse, show = forms.get(key, (_as_given, _as_given))
+        read[key] = parse(getattr(args, key))
+        echo[key] = show(read[key])
+    result = call(maps, **read)
     if args.audit:
-        sys.stdout.write(
-            _jdump({"input": audit_input, "output": result, "map": name}) + "\n"
-        )
-    else:
-        sys.stdout.write(_jdump(result) + "\n")
+        result = {"input": echo, "output": result, "map": args.name}
+    sys.stdout.write(_jdump(result) + "\n")
     return 0
 
 

@@ -27,7 +27,8 @@ layout by level ``u = x + y`` that this replaced took nine, among them a
 shift, a shift and a subtraction to clear the slot past the level's end.
 Here neither boundary costs an operation: ``x >= 0`` is the slot that falls
 off the right shift, and ``y >= 0`` is the end of the row list
-(``D[-1] = 0``).  No count at step ``t`` exceeds ``5^t``.  A slot of
+(``D[-1] = 0``).  No count at step ``t`` exceeds ``5^t``, one factor per
+step in ``STEPS`` (``_slot_bits`` derives the base from it).  A slot of
 ``D[y]`` holds two counts of step ``t - 1``, at most ``2 * 5^(t-1)``, and
 a slot of ``D[y-1] + old[y]`` at most ``3 * 5^(t-1) < 5^t``, so while
 ``2^W > 5^t`` no slot carries into the next one.  Each row is rewritten in
@@ -135,10 +136,10 @@ def _walk_counts(k_max: int, by_hooks: bool = False) -> tuple[int, ...]:
     entry ``k``.  Step ``t`` keeps the rows ``y <= min(t, k_max - t)``, and
     past the middle masks every ``_TRIM``-th step each row to
     ``x + y <= k_max - t``; entry ``t`` is slot 0 of row 0, the origin."""
-    bits = (5**k_max).bit_length()
+    bits = _slot_bits(k_max)
 
     def need(t: int) -> int:  # slot bits that step t's counts need
-        return bits * (t + 1) if by_hooks else (5**t).bit_length()
+        return bits * (t + 1) if by_hooks else _slot_bits(t)
 
     width = 8  # bits per slot, always whole bytes; the origin fits
     values = [0] * (k_max + 1)
@@ -173,6 +174,12 @@ def _walk_counts(k_max: int, by_hooks: bool = False) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _slot_bits(t: int) -> int:
+    """Bits that hold any count of step ``t``: at most ``len(STEPS)**t``
+    walks of length ``t``."""
+    return (len(STEPS) ** t).bit_length()
+
+
 def _repack(row: int, width: int, wider: int) -> int:
     """``row``'s slots of ``width`` bits moved into slots of ``wider`` bits;
     both widths are whole bytes."""
@@ -188,7 +195,7 @@ def _hook_slot(value: int, h: int, k_max: int) -> int:
     """The ``Z^h`` slot of ``value``, an entry of ``_walk_counts(k_max,
     by_hooks=True)`` or a signed sum of entries whose every slot lies in
     ``[0, Z)``; for entry ``k`` it is ``w(k, h)``."""
-    bits = (5**k_max).bit_length()
+    bits = _slot_bits(k_max)
     return value >> bits * h & (1 << bits) - 1
 
 

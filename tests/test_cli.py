@@ -130,6 +130,63 @@ class TestMap:
         assert proc.returncode == 2
 
 
+#: every map name, in the ``--name`` choice order, with inputs it accepts
+#: (needed inputs in the order a refusal names them) and their ``--audit``
+#: echo: the permutation and endpoint set as read, paths and size as given
+MAP_INPUTS = {
+    "ll": ({"perm": "3,2,4,1,5,6", "ne": "6,3,3"}, {"perm": "324156", "ne": [3, 6]}),
+    "llinv": ({"lower": "UEDUD", "upper": "UEUDD", "n": "6"},
+              {"lower": "UEDUD", "upper": "UEUDD", "n": 6}),
+    "swl": ({"perm": "4,2,1,3"}, {"perm": "4213"}),
+    "swr": ({"perm": "2143"}, {"perm": "2143"}),
+    "w": ({"perm": "213", "ne": "3,3"}, {"perm": "213", "ne": [3]}),
+    "winv": ({"perm": "213", "ne": "3"}, {"perm": "213", "ne": [3]}),
+    "phi": ({"lower": "UEDUD", "upper": "UEUDD"},
+            {"lower": "UEDUD", "upper": "UEUDD"}),
+    "phiinv": ({"x": "EEUDE", "y": "UEDUD"}, {"x": "EEUDE", "y": "UEDUD"}),
+}
+
+
+def _map_argv(name, inputs):
+    return ["map", "--name", name,
+            *itertools.chain.from_iterable((f"--{k}", v) for k, v in inputs.items())]
+
+
+def _dropped_inputs():
+    for name, (given, _) in MAP_INPUTS.items():
+        drops = [(key,) for key in given]
+        if len(given) > 1:
+            drops.append(tuple(given))
+        for drop in drops:
+            yield pytest.param(name, drop, id=f"{name}-{'-'.join(drop)}")
+
+
+class TestMapFrontDoor:
+    def test_choices_in_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["map", "--help"])
+        assert "--name {" + ",".join(MAP_INPUTS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, drop", _dropped_inputs())
+    def test_missing_inputs_refusal_bytes(self, capsys, name, drop):
+        given = MAP_INPUTS[name][0]
+        kept = {k: v for k, v in given.items() if k not in drop}
+        assert main(_map_argv(name, kept)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"hookcomb: map --name {name} needs --{', --'.join(drop)}\n"
+
+    @pytest.mark.parametrize("name", MAP_INPUTS)
+    def test_audit_wraps_the_read_input(self, capsys, name):
+        given, echo = MAP_INPUTS[name]
+        assert main(_map_argv(name, given)) == 0
+        plain = capsys.readouterr().out
+        assert main([*_map_argv(name, given), "--audit"]) == 0
+        audit = capsys.readouterr().out
+        record = {"input": echo, "output": json.loads(plain), "map": name}
+        assert audit == json.dumps(record, separators=(",", ":")) + "\n"
+
+
 class TestCount:
     def test_single_value_plain(self):
         assert run("count", "--pattern", "312", "--n", "1").stdout == "1\n"
