@@ -314,8 +314,11 @@ def _cmd_render(args) -> int:
         document = render_vhc(Vhc.from_json(args.vhc))
     else:
         document = render_path(MotzkinPath(args.path))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(document)
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(document)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     return 0
 
 

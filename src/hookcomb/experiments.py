@@ -30,17 +30,19 @@ from .perm import PATTERN_132, PATTERN_312, Permutation, _guard3, bruhat_leq
 from .vhc import _carrier_pattern, carriers, enumerate_vhcs
 from .walks import _hook_slot, _walk_counts, count_walks, vhc312_series
 
-_TRIANGLE_LIMIT = 40
-_TAMARI_LIMIT = 10
-#: largest n of an exhaustive count, and its cost, by the length of sigma'
-#: (``vhc._carrier_pattern``) clamped to 2..4; length 3 runs ``perm._guard3``
-#: and length 4 or more ``perm._guard``
-_EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 0.4 s "
-                              "(213: 0.9 s), and 1..4000 takes 2.5 s"),
-                     3: (14, "count --pattern 1234 --n 1..14 takes 0.6 s "
-                             "at a 26 MB peak (132: 0.2 s), and n = 15 alone 1.5 s"),
-                     4: (9, "count --pattern 623451 --n 1..9 takes 0.9 s, "
-                            "and n = 10 alone 8 s")}
+#: each cap is its largest size and its cost at the cap: triangle rows,
+#: the image sweep of ``check_tamari_image``, and an exhaustive count by the
+#: length of sigma' (``vhc._carrier_pattern``) clamped to 2..4; length 3
+#: runs ``perm._guard3`` and length 4 or more ``perm._guard``
+_TRIANGLE_LIMIT = (40, "check --suite conjectures took 1.2 s over rows 1..40, and the "
+                       "rows with their Sturm checks 1.4 s over rows 1..41, on a 2-core Xeon")
+_TAMARI_LIMIT = (10, "0.42 s at n = 10 and 1.5 s at 11 on a 2-core Xeon")
+_EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 0.33 s "
+                              "(213: 0.45 s), and 1..2001 takes 0.31 s on a 2-core Xeon"),
+                     3: (14, "count --pattern 1234 --n 1..14 takes 0.61 s at a 25 MB "
+                             "peak (132: 0.18 s), and n = 15 alone 1.4 s on a 2-core Xeon"),
+                     4: (9, "count --pattern 623451 --n 1..9 takes 0.53 s, "
+                            "and n = 10 alone 5.5 s on a 2-core Xeon")}
 _MIN_FIT_POINTS = 50
 _USED_RUN = re.compile(rb"\x01+")
 
@@ -60,7 +62,7 @@ def _check_exhaustive(n_max: int, pattern: Permutation) -> None:
     cap, cost = _EXHAUSTIVE_LIMIT[min(max(_carrier_pattern(pattern).n, 2), 4)]
     if n_max > cap:
         raise ValueError(f"exhaustive counts over {pattern}-avoiders are capped "
-                         f"at n <= {cap}: {cost} on a 2-core Xeon")
+                         f"at n <= {cap}: {cost}")
 
 
 def vhc_count_exhaustive(n_max: int, pattern: Permutation) -> list[int]:
@@ -189,12 +191,9 @@ def triangle(k_max: int) -> list[TriangleRow]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if k_max > _TRIANGLE_LIMIT:
-        raise ValueError(
-            f"triangle rows are capped at k <= {_TRIANGLE_LIMIT}: check --suite "
-            f"conjectures took 2.5 s over rows 1..40, and the rows with their "
-            f"Sturm checks 9.6 s over rows 1..50, on a 2-core Xeon"
-        )
+    cap, cost = _TRIANGLE_LIMIT
+    if k_max > cap:
+        raise ValueError(f"triangle rows are capped at k <= {cap}: {cost}")
     length = 3 * k_max - 1
     reduced = _reduced_series(_walk_counts(length, by_hooks=True))
     return [
@@ -252,9 +251,9 @@ def check_tamari_image(n_max: int) -> list[dict]:
 
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > _TAMARI_LIMIT:
-        raise ValueError(f"exhaustive image sweep capped at n <= {_TAMARI_LIMIT}: "
-                         f"1.1 s at n = 10 and 3.1 s at 11 on a 2-core Xeon")
+    cap, cost = _TAMARI_LIMIT
+    if n_max > cap:
+        raise ValueError(f"exhaustive image sweep capped at n <= {cap}: {cost}")
     report = []
     for n in range(1, n_max + 1):
         image = set()

@@ -36,12 +36,12 @@ from .walks import vhc312_series
 ORDERS = ("S", "C", "T")
 
 #: longest paths ``enumerate_intervals`` pairs, by order, and that
-#: ``count_intervals`` counts for S and T, with the cost at the cap; each
-#: step costs about 5 times more for S (it compares all pairs), 3 to 4
-#: times more for C and T
-_INTERVAL_LIMIT = {"S": (11, "listing takes 10 s at n = 11, counting 4.2 s"),
-                   "C": (13, "listing takes 4.9 s at n = 13"),
-                   "T": (13, "listing takes 3.8 s at n = 13, counting 1.9 s")}
+#: ``count_intervals`` counts for S and T, with the cost at the cap
+_INTERVAL_LIMIT = {
+    "S": (11, "listing takes 8.1 s at n = 11, counting 2.7 s on a 2-core Xeon"),
+    "C": (13, "listing takes 4.2 s at n = 13 on a 2-core Xeon"),
+    "T": (13, "listing takes 3.0 s at n = 13, counting 1.1 s on a 2-core Xeon"),
+}
 
 _DISPLACEMENT = {"U": 1, "D": -1, "E": 0}  # in the enumeration order
 
@@ -226,8 +226,7 @@ def _packed_paths(order: str, n: int):
     if n > cap:
         raise ValueError(
             f"{order}-intervals of length {n} pair at least M({cap + 1}) = "
-            f"{motzkin_number(cap + 1)} Motzkin paths; refusing n > {cap}: {cost} "
-            f"on a 2-core Xeon"
+            f"{motzkin_number(cap + 1)} Motzkin paths; refusing n > {cap}: {cost}"
         )
     width = (n + 1).bit_length() + 1
     guard = sum(1 << width * i + width - 1 for i in range(n))

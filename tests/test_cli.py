@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hookcomb.cli import _CHECK_NMAX, main
+from hookcomb.experiments import _EXHAUSTIVE_LIMIT
 from hookcomb.motzkin import MotzkinPath, leq
 from hookcomb.perm import Permutation
 from hookcomb.render import render_path, render_vhc
@@ -250,17 +251,20 @@ class TestCount:
 
 
     @pytest.mark.parametrize(
-        "argv,cap,cost",
-        [(["--pattern", "132", "--n", "1..15"], 14, "n = 15 alone 1.5 s"),
-         (["--pattern", "312", "--n", "15", "--method", "enumerate"], 14, "n = 15 alone 1.5 s"),
-         (["--pattern", "2413", "--n", "0..10", "--output", "csv"], 9, "n = 10 alone 8 s"),
-         (["--pattern", "213", "--n", "2001"], 2000, "1..4000 takes 2.5 s")],
-        ids=["132", "312-enumerate", "2413", "213"],  # stable when a cost is re-measured
+        "argv,cap,length",
+        [(["--pattern", "132", "--n", "1..15"], 14, 3),
+         (["--pattern", "312", "--n", "15", "--method", "enumerate"], 14, 3),
+         (["--pattern", "2413", "--n", "0..10", "--output", "csv"], 9, 4),
+         (["--pattern", "213", "--n", "2001"], 2000, 2)],
+        ids=["132", "312-enumerate", "2413", "213"],
     )
-    def test_exhaustive_over_cap_fails_fast(self, argv, cap, cost):
+    def test_exhaustive_over_cap_fails_fast(self, argv, cap, length):
+        """The refusal ends with the cost that ``_EXHAUSTIVE_LIMIT`` states
+        for the length of sigma'."""
         proc = run("count", *argv, check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert f"capped at n <= {cap}" in proc.stderr and cost in proc.stderr
+        assert proc.stderr.endswith(
+            f"capped at n <= {cap}: {_EXHAUSTIVE_LIMIT[length][1]}\n")
 
     def test_length_2_cap_is_accepted(self):
         assert run("count", "--pattern", "213", "--n", "2000").stdout == "1\n"
@@ -349,7 +353,7 @@ class TestSequencesAndChecks:
         }
         assert all(r["verdict"] == "holds" for r in rows)
 
-    @pytest.mark.parametrize("suite", ["tamari", "eq2"])
+    @pytest.mark.parametrize("suite", ["conjectures", "tamari", "eq2"])
     def test_check_nmax_default_is_the_table_value(self, capsys, suite):
         assert main(["check", "--suite", suite]) == 0
         default = capsys.readouterr().out
@@ -374,7 +378,7 @@ class TestSequencesAndChecks:
     def test_conjectures_over_cap_fails_fast(self):
         proc = run("check", "--suite", "conjectures", "--nmax", "15", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "capped at n <= 14" in proc.stderr and "n = 15 alone 1.5 s" in proc.stderr
+        assert proc.stderr.endswith(f"capped at n <= 14: {_EXHAUSTIVE_LIMIT[3][1]}\n")
 
     @pytest.mark.parametrize(
         "suite,nmax",
@@ -425,19 +429,27 @@ class TestRender:
         assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
         assert "perm" in proc.stderr and "internal error" not in proc.stderr
 
+    def test_unwritable_path_fails(self):
+        """An output path that cannot be opened is the user's error."""
+        proc = run(
+            "render", "--path", "EE", "--out", "/nonexistent/dir/x.svg",
+            check=False,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("hookcomb: cannot write /nonexistent/dir/x.svg: "
+                               "No such file or directory\n")
+
+    def test_directory_out_is_config_error(self, tmp_path):
+        proc = run("render", "--path", "UD", "--out", str(tmp_path), check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"hookcomb: cannot write {tmp_path}: Is a directory\n"
+
     def test_boolean_index_is_refused_as_one(self, tmp_path):
         out = tmp_path / "x.svg"
         text = '{"perm":"213","ne":[true]}'
         proc = run("render", "--vhc", text, "--out", str(out), check=False)
         assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
         assert "northeast index True out of range" in proc.stderr
-
-    def test_unwritable_path_fails(self):
-        proc = run(
-            "render", "--path", "EE", "--out", "/nonexistent/dir/x.svg",
-            check=False,
-        )
-        assert proc.returncode == 1
 
 
 class TestDeterminism:

@@ -270,8 +270,8 @@ class TestEnumeration:
             count_intervals("S", 12)
         with pytest.raises(ValueError, match=r"M\(14\) = 113634.*n > 13"):
             count_intervals("T", 14)
-        with pytest.raises(ValueError, match=f"cap of {_KMAX_LIMIT + 1}"):
-            count_intervals("C", _KMAX_LIMIT + 1)
+        with pytest.raises(ValueError, match=f"cap of {_KMAX_LIMIT[0] + 1}"):
+            count_intervals("C", _KMAX_LIMIT[0] + 1)
         with pytest.raises(ValueError, match="n must be >= 0"):
             count_intervals("C", -1)
         with pytest.raises(ValueError, match="order must be one of"):

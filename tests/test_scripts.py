@@ -4,6 +4,7 @@ place, run against the package as it is."""
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +103,71 @@ def test_gain_rule_needs_medians_apart_by_more_than_the_base_iqr(compare):
     assert close["pairs_won"] == 10 and not close["gain_rule_holds"]
     apart = compare(base, [b - 2.5 for b in base], "lower")
     assert apart["pairs_won"] == 10 and apart["gain_rule_holds"]
+
+
+@pytest.fixture
+def measure_caps():
+    spec = importlib.util.spec_from_file_location(
+        "measure_caps", ROOT / "scripts" / "measure_caps.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cap_keys() -> dict:
+    """Every cap key ``(module, name, key)`` with its ``(value, cost)``:
+    the module-level names ending in ``_LIMIT`` in the modules that refuse
+    sizes, each one pair or a dict of pairs (``key`` is None for a pair)."""
+    caps = {}
+    for module in ("walks", "experiments", "motzkin"):
+        for name, limit in vars(importlib.import_module(f"hookcomb.{module}")).items():
+            if name.endswith("_LIMIT"):
+                pairs = limit.items() if isinstance(limit, dict) else [(None, limit)]
+                caps.update(((module, name, key), pair) for key, pair in pairs)
+    return caps
+
+
+def size_cap_rows() -> dict:
+    """README's Size caps table as ``{cap: (module, value, cost)}``, the cap
+    and module cells without their backticks."""
+    section = (ROOT / "README.md").read_text().split("\n## Size caps\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            cap, module, _, value, cost = cells
+            assert cap not in rows, f"two rows for {cap}"
+            rows[cap.strip("`")] = (module.strip("`"), value, cost)
+    return rows
+
+
+def test_every_cap_has_one_readme_row_and_one_script_entry(measure_caps):
+    """Each cap key has a row in README's Size caps table with its module,
+    its value and its cost text verbatim, each row names a cap, and
+    ``scripts/measure_caps.py`` has commands for every cap and no other.
+    The cost names the value, so a changed value needs a re-measured cost."""
+    caps = cap_keys()
+    labels = {measure_caps.label(cap): cap for cap in caps}
+    rows = size_cap_rows()
+    assert labels.keys() - rows.keys() == set(), "caps with no README row"
+    assert rows.keys() - labels.keys() == set(), "README rows that name no cap"
+    for text, cap in labels.items():
+        value, cost = caps[cap]
+        assert rows[text] == (cap[0], str(value), cost), text
+        assert re.search(rf"(?<!\d)(?<!\d\.){value}(?!\d|\.\d)", cost), text
+        assert measure_caps.limit(cap) == (value, cost)
+    assert set(measure_caps.COMMANDS) == set(caps)
+    for at_cap, past in measure_caps.COMMANDS.values():
+        assert at_cap and all("{n}" in command for command in [*at_cap, past])
+
+
+def test_measure_caps_raises_the_cap_in_its_child(measure_caps):
+    """The step past a cap runs in a child that raises the cap; without
+    the raise the same command is refused."""
+    cap = ("experiments", "_EXHAUSTIVE_LIMIT", 2)
+    command = "hookcomb count --pattern 21 --n 2001"
+    seconds, peak = measure_caps.run_once(cap, command, 2001)
+    assert seconds > 0 and peak > 0
+    with pytest.raises(RuntimeError, match="capped at n <= 2000"):
+        measure_caps.run_once(cap, command)

@@ -115,12 +115,12 @@ class TestWalkCounts:
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
     def test_over_cap_refused(self):
-        assert _KMAX_LIMIT > 400
+        assert _KMAX_LIMIT[0] > 400
         with pytest.raises(ValueError) as info:
-            count_walks(_KMAX_LIMIT + 1)
+            count_walks(_KMAX_LIMIT[0] + 1)
         message = str(info.value)
-        assert f"length {_KMAX_LIMIT + 2}" in message
-        assert f"cap of {_KMAX_LIMIT + 1}" in message
+        assert f"length {_KMAX_LIMIT[0] + 2}" in message
+        assert f"cap of {_KMAX_LIMIT[0] + 1}" in message
 
 
 class TestHookWeightedWalks:
