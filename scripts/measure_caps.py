@@ -3,17 +3,17 @@
 
 Usage: python3 scripts/measure_caps.py
 
-Each cap is a module-level ``(value, cost)`` pair named ``*_LIMIT`` in
-``hookcomb.walks``, ``hookcomb.experiments`` or ``hookcomb.motzkin``, or a
-dict of such pairs; the refusal past the cap ends with the cost text.  For
-each cap key, ``COMMANDS`` holds the commands its cost text times at the
-cap and the one it times one step past it.  Each command at the cap runs
-in three fresh processes, and the script prints the median wall time and
-the largest peak RSS; the step past runs once, in a child that raises the
-cap's value before it runs the command, so the package has no switch for
-it.  The stated cost is printed above the measured figures.  Nothing is
-written: a cost is re-stated by editing its constant, and README's Size
-caps table, which ``tests/test_scripts.py`` holds to the constants.
+Each cap is a module-level ``(value, cost)`` pair named ``*_LIMIT`` in a
+module of ``hookcomb``, or a dict of such pairs; the refusal past the cap
+ends with the cost text.  For each cap key, ``COMMANDS`` holds the
+commands its cost text times at the cap and the one it times one step
+past it.  Each command at the cap runs in three fresh processes, and the
+script prints the median wall time and the largest peak RSS; the step
+past runs once, in a child that raises the cap's value before it runs
+the command, so the package has no switch for it.  The stated cost is
+printed above the measured figures.  Nothing is written: a cost is
+re-stated by editing its constant, and README's Size caps table, which
+``tests/test_scripts.py`` holds to the constants.
 
 The children run the package under ``src/`` of this checkout.  Each
 reports its peak RSS as ``VmHWM`` from ``/proc/self/status``, which counts
@@ -48,15 +48,15 @@ COMMANDS = {
     ("experiments", "_TAMARI_LIMIT", None): (
         ["hookcomb check --suite tamari --nmax {n}"],
         "hookcomb check --suite tamari --nmax {n}"),
-    ("experiments", "_EXHAUSTIVE_LIMIT", 2): (
+    ("vhc", "_EXHAUSTIVE_LIMIT", 2): (
         ["hookcomb count --pattern 123 --n 1..{n}",
          "hookcomb count --pattern 213 --n 1..{n}"],
         "hookcomb count --pattern 123 --n 1..{n}"),
-    ("experiments", "_EXHAUSTIVE_LIMIT", 3): (
+    ("vhc", "_EXHAUSTIVE_LIMIT", 3): (
         ["hookcomb count --pattern 1234 --n 1..{n}",
          "hookcomb count --pattern 132 --n 1..{n}"],
         "hookcomb count --pattern 1234 --n {n}"),
-    ("experiments", "_EXHAUSTIVE_LIMIT", 4): (
+    ("vhc", "_EXHAUSTIVE_LIMIT", 4): (
         ["hookcomb count --pattern 623451 --n 1..{n}"],
         "hookcomb count --pattern 623451 --n {n}"),
     ("motzkin", "_INTERVAL_LIMIT", "S"): (
@@ -67,8 +67,7 @@ COMMANDS = {
         ["hookcomb intervals --order C --n {n}"],
         "hookcomb intervals --order C --n {n}"),
     ("motzkin", "_INTERVAL_LIMIT", "T"): (
-        ["hookcomb intervals --order T --n {n}",
-         "hookcomb intervals --order T --n {n} --count-only"],
+        ["hookcomb intervals --order T --n {n}"],
         "hookcomb intervals --order T --n {n}"),
 }
 

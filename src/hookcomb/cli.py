@@ -116,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     from .perm import PATTERN_312, Permutation
-    from .walks import vhc312_series
 
     lo, hi = _parse_range(args.n)
     pattern = Permutation.from_text(args.pattern)
@@ -128,9 +127,11 @@ def _cmd_count(args) -> int:
     if lo < 0:
         raise ValueError("--n must be >= 0")
     if pattern == PATTERN_312 and args.method != "enumerate":
+        from .walks import vhc312_series
+
         counts = vhc312_series(hi)
     else:
-        from .experiments import vhc_count_exhaustive
+        from .vhc import vhc_count_exhaustive
 
         counts = vhc_count_exhaustive(hi, pattern)
     rows = [(n, counts[n]) for n in range(lo, hi + 1)]

@@ -1,15 +1,12 @@
-"""Exhaustive sweeps, identity checks, conjecture verdicts, and growth fit.
+"""Identity checks, conjecture verdicts, the triangle, and growth fit.
 
 The reduced-configuration triangle is no sweep: ``triangle`` reads it off
-the hook-weighted walk DP of ``walks``.  The exhaustive counts here
-(``reduced_count``, ``vhc_count_exhaustive``, the Tamari image) are the
-left sides of the identity checks.  They range over ``vhc.carriers``, the
-only avoiders with a configuration: the counts for a length-3 ``sigma'``
-over every size up to a bound, in one memoized search that grows the
-carriers and sweeps their hooks together (``_carrier_counts``), the other
-counts and the Tamari image by listing the configurations on each carrier.
-Everything is read-only over exact counts.  Checkers return lists of
-JSON-serializable report entries such as
+the hook-weighted walk DP of ``walks``.  The left sides of the identity
+checks are the configuration counts of ``vhc`` (``reduced_count``,
+``vhc_count_exhaustive``) and the Tamari image, which lists the
+configurations on each of ``vhc.carriers`` and maps them.  Everything is
+read-only over exact counts.  Checkers return lists of JSON-serializable
+report entries such as
 
     {"check": "conjecture2", "k": 3, "lhs": "5", "rhs": "5", "verdict": "holds"}
 
@@ -22,135 +19,26 @@ reader.
 from __future__ import annotations
 
 import math
-import re
 from itertools import accumulate, permutations
 from typing import NamedTuple
 
-from .perm import PATTERN_132, PATTERN_312, Permutation, _guard3, bruhat_leq
-from .vhc import _carrier_pattern, carriers, enumerate_vhcs
+from .perm import PATTERN_132, PATTERN_312, Permutation, bruhat_leq
+from .vhc import (_check_exhaustive, _exhaustive_limit, carriers, enumerate_vhcs,
+                  reduced_count, vhc_count_exhaustive)
 from .walks import _hook_slot, _walk_counts, count_walks, vhc312_series
 
-#: each cap is its largest size and its cost at the cap: triangle rows,
-#: the image sweep of ``check_tamari_image``, and an exhaustive count by the
-#: length of sigma' (``vhc._carrier_pattern``) clamped to 2..4; length 3
-#: runs ``perm._guard3`` and length 4 or more ``perm._guard``
+#: each cap is its largest size and its cost at the cap: triangle rows and
+#: the image sweep of ``check_tamari_image``
 _TRIANGLE_LIMIT = (40, "check --suite conjectures took 1.2 s over rows 1..40, and the "
                        "rows with their Sturm checks 1.4 s over rows 1..41, on a 2-core Xeon")
 _TAMARI_LIMIT = (10, "0.42 s at n = 10 and 1.5 s at 11 on a 2-core Xeon")
-_EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 0.33 s "
-                              "(213: 0.45 s), and 1..2001 takes 0.31 s on a 2-core Xeon"),
-                     3: (14, "count --pattern 1234 --n 1..14 takes 0.61 s at a 25 MB "
-                             "peak (132: 0.18 s), and n = 15 alone 1.4 s on a 2-core Xeon"),
-                     4: (9, "count --pattern 623451 --n 1..9 takes 0.53 s, "
-                            "and n = 10 alone 5.5 s on a 2-core Xeon")}
 _MIN_FIT_POINTS = 50
-_USED_RUN = re.compile(rb"\x01+")
 
 _S3 = tuple(Permutation(p) for p in permutations((1, 2, 3)))
 
 
 def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
-
-
-# --- exhaustive tallies ----------------------------------------------------
-
-
-def _check_exhaustive(n_max: int, pattern: Permutation) -> None:
-    if n_max < 0:
-        raise ValueError("n must be >= 0")
-    cap, cost = _EXHAUSTIVE_LIMIT[min(max(_carrier_pattern(pattern).n, 2), 4)]
-    if n_max > cap:
-        raise ValueError(f"exhaustive counts over {pattern}-avoiders are capped "
-                         f"at n <= {cap}: {cost}")
-
-
-def vhc_count_exhaustive(n_max: int, pattern: Permutation) -> list[int]:
-    """Numbers of configurations on ``pattern``-avoiders of sizes
-    ``0..n_max``.
-
-    When ``sigma'`` (``vhc._carrier_pattern``) has length 3 they are
-    counted, not listed, by ``_carrier_counts``; otherwise each of the
-    ``carriers`` runs ``enumerate_vhcs``.  The two agree for every
-    pattern with a length-3 ``sigma'`` and length at most 4 at every
-    ``n <= 9`` in the tests, and the count for 132 equals the number of
-    T-intervals one size down for every ``n <= 14``.
-    """
-    _check_exhaustive(n_max, pattern)
-    if _carrier_pattern(pattern).n == 3:
-        return _carrier_counts(n_max, pattern, reduced=False)
-    return [sum(sum(1 for _ in enumerate_vhcs(pi)) for pi in carriers(n, pattern))
-            for n in range(n_max + 1)]
-
-
-def reduced_count(n_max: int) -> list[int]:
-    """Numbers of reduced configurations on 312-avoiders of sizes
-    ``0..n_max`` (the left side of ``check_eq2``), counted by
-    ``_carrier_counts``; the empty configuration is reduced.  Equal to the
-    reduced filter of ``tests/conftest.py`` over ``enumerate_vhcs`` on the
-    ``carriers`` for every ``n <= 11``."""
-    _check_exhaustive(n_max, PATTERN_312)
-    return _carrier_counts(n_max, PATTERN_312, reduced=True)
-
-
-def _carrier_counts(n_max: int, pattern: Permutation, reduced: bool) -> list[int]:
-    """Configurations on ``carriers(n, pattern)`` for every ``n <= n_max``,
-    for a length-3 ``sigma'``; with ``reduced``, only the reduced ones.
-
-    One depth-first search per size grows ``tau``, the carrier less its
-    last point ``n``, by the extension rule ``perm._guard3``, and runs the
-    sweep of ``vhc._matching`` alongside: the point before a lower one is a
-    descent top and opens a hook, and a point that tops the innermost open
-    hook's descent top closes that hook, or does not (the close rule of
-    ``vhc``).  ``n`` can then close one last hook.  The count below a
-    prefix depends only on what the rest of the search reads, so it is
-    memoized on that.  ``_guard3`` and the sweep compare used values only
-    with unused ones, so the key is the used/unused word of ``1..n-1`` with
-    each run of used values one mark, the flag ``bare`` (for ``reduced``:
-    the last point is neither a hook endpoint nor a descent bottom yet, so
-    it must be a descent top), and the number of unused values below the
-    last value and below each open hook's descent top.  The key does not
-    hold ``n``, so one memo serves every size.  Equal to the earlier
-    search, one size at a time with a bit mask of the used values in its
-    key, for every length-3 ``sigma'`` (the patterns 132, 231, 312, 321,
-    1234 and 2134) and for reduced 312, at every ``n <= 14``.
-    """
-    used = bytearray(1)  # the flags of the values 1..n-1, grown with n
-    allows = _guard3(_carrier_pattern(pattern).entries, used)
-    memo: dict[tuple, int] = {}
-
-    def count(left: int, last: int, tops: tuple[int, ...], bare: bool) -> int:
-        if len(tops) > left + 1:
-            return 0  # each point left closes at most one hook
-        if not left:
-            # n closes the innermost hook; a reduced configuration needs it
-            # to, since n is no descent bottom or top
-            return int(len(tops) == 1 and not bare) if reduced else 1
-        key = (_USED_RUN.sub(b"\x01", used), bare,
-               *[used.count(0, 1, v) for v in (last, *tops)])
-        total = memo.get(key)
-        if total is not None:
-            return total
-        total = 0
-        for x in range(1, len(used)):
-            if used[x] or not allows(x):
-                continue
-            used[x] = 1
-            if last > x:  # a descent: a hook opens at last
-                total += count(left - 1, x, (*tops, last), False)
-            elif not bare:
-                if tops and x > tops[-1]:
-                    total += count(left - 1, x, tops[:-1], False)
-                total += count(left - 1, x, tops, reduced)
-            used[x] = 0
-        memo[key] = total
-        return total
-
-    counts = [1]
-    for n in range(1, n_max + 1):
-        counts.append(count(n - 1, 0, (), False))
-        used.append(0)
-    return counts
 
 
 def _reduced_series(walks: tuple[int, ...]) -> list[int]:
@@ -299,8 +187,8 @@ def check_conjectures(k_max: int, bruhat_n_max: int) -> list[dict]:
     """
     if bruhat_n_max < 1:
         raise ValueError("bruhat_n_max must be >= 1")
-    for sigma in _S3:
-        _check_exhaustive(bruhat_n_max, sigma)
+    # the tightest of the six classes' caps binds
+    _check_exhaustive(bruhat_n_max, min(_S3, key=lambda s: _exhaustive_limit(s)[0]))
     report = []
     for row in triangle(k_max):
         k = row.k

@@ -36,11 +36,11 @@ from .walks import vhc312_series
 ORDERS = ("S", "C", "T")
 
 #: longest paths ``enumerate_intervals`` pairs, by order, and that
-#: ``count_intervals`` counts for S and T, with the cost at the cap
+#: ``count_intervals`` counts for S, with the cost at the cap
 _INTERVAL_LIMIT = {
     "S": (11, "listing takes 8.1 s at n = 11, counting 2.7 s on a 2-core Xeon"),
     "C": (13, "listing takes 4.2 s at n = 13 on a 2-core Xeon"),
-    "T": (13, "listing takes 3.0 s at n = 13, counting 1.1 s on a 2-core Xeon"),
+    "T": (13, "listing takes 3.0 s at n = 13 on a 2-core Xeon"),
 }
 
 _DISPLACEMENT = {"U": 1, "D": -1, "E": 0}  # in the enumeration order
@@ -192,17 +192,23 @@ def enumerate_intervals(order: str, n: int) -> Iterator[Interval]:
 def count_intervals(order: str, n: int) -> int:
     """The number of ``order``-intervals of length-``n`` paths.
 
-    C reads it off the walk series: ``ll_map`` is a bijection from the
-    configurations on 312-avoiders of size ``n + 1`` onto the C-intervals
-    of length ``n``, so the count is ``vhc312_series(n + 1)[n + 1]`` (equal
-    to the listed count for every n <= 13).  Its cap is the walk table's,
-    ``walks._KMAX_LIMIT``.  S and T count the pairs ``enumerate_intervals``
-    would list, without building them, under the same cap.
+    C and T read it off the configurations one size up, by the paper's
+    bijections: ``ll_map`` carries those on 312-avoiders of size ``n + 1``
+    onto the C-intervals of length ``n``, and after ``w_map`` those on
+    132-avoiders onto the T-intervals.  So C is ``vhc312_series`` under the
+    walk table's cap, and T the 132 count of ``vhc.vhc_count_exhaustive``
+    under its cap; both equal the listed counts for every n <= 13.  S counts
+    the pairs ``enumerate_intervals`` would list, without building them.
     """
+    if order in ("C", "T") and n < 0:
+        raise ValueError("n must be >= 0")
     if order == "C":
-        if n < 0:
-            raise ValueError("n must be >= 0")
         return vhc312_series(n + 1)[n + 1]
+    if order == "T":  # the only count that loads the avoider layers
+        from .perm import PATTERN_132
+        from .vhc import vhc_count_exhaustive
+
+        return vhc_count_exhaustive(n + 1, PATTERN_132)[n + 1]
     keyed, by_class, guard = _packed_paths(order, n)
     return sum(
         sum([(high - low) & guard == guard for high, _ in by_class[cls]])

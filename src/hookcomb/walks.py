@@ -74,9 +74,8 @@ hooks of a configuration are the y-raising steps of its walk, which is how
 On a 2-core Xeon with Python 3.11, in alternating fresh processes against
 the level layout, ``count_walks(400)`` took 0.21-0.39 s against 0.38-0.52
 s, ``count_walks(800)`` 3.1-4.0 s against 3.9-4.8 s, and
-``count_walks(1000)`` 8.0 s against 10.0-13.4 s, with a process peak RSS
-of 28 MB against 59 MB; ``_walk_counts(179, by_hooks=True)`` took 2.1-3.0
-s against 2.4-3.2 s.  The tables equal the level layout's for every
+``_walk_counts(179, by_hooks=True)`` 2.1-3.0 s against 2.4-3.2 s; the
+cost at the cap is ``_KMAX_LIMIT``'s.  The tables equal the level layout's for every
 ``k_max <= 150``, at 299, 400, 800 and 1000, and the hook-weighted ones
 for every ``k_max <= 60``, at 119 and at 179.  The tests keep the dict-DP
 equality to 80 and at 200, the prefix check to 150, the hook split against

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 import pytest
 
 from hookcomb.maps import ALLOWED_STEP_PAIRS, PullbackResult, _slide, swl, swr
-from hookcomb.motzkin import MotzkinPath, enumerate_paths
+from hookcomb.motzkin import MotzkinPath, _packed_paths, enumerate_paths
 from hookcomb.perm import PATTERN_312, Permutation, Point, avoiders, ltr_maxima
 from hookcomb.vhc import Hook, Vhc, _checked_ne, enumerate_vhcs, validate
 from hookcomb.walks import STEPS, count_walks
@@ -360,7 +360,7 @@ def _kept(v: Vhc) -> set[int]:
 
 def is_reduced(v: Vhc) -> bool:
     """True when every plot point is a hook endpoint or a descent bottom:
-    the filter that ``experiments.reduced_count`` counts."""
+    the filter that ``vhc.reduced_count`` counts."""
     return len(_kept(v)) == v.pi.n
 
 
@@ -539,6 +539,17 @@ def lng_scan(p: MotzkinPath) -> tuple[int, ...]:
                 out.append(offset + 1)
                 break
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def paired_interval_count(order: str, n: int) -> int:
+    """Oracle for ``count_intervals``: the pairs ``enumerate_intervals``
+    would list, counted on the packed statistics without building them."""
+    keyed, by_class, guard = _packed_paths(order, n)
+    return sum(
+        sum([(high - low) & guard == guard for high, _ in by_class[cls]])
+        for cls, low, _ in keyed
+    )
 
 
 def is_dyck_prefix(word: str) -> bool:

@@ -9,11 +9,10 @@ from pathlib import Path
 import pytest
 
 from hookcomb.cli import _CHECK_NMAX, main
-from hookcomb.experiments import _EXHAUSTIVE_LIMIT
 from hookcomb.motzkin import MotzkinPath, leq
 from hookcomb.perm import Permutation
 from hookcomb.render import render_path, render_vhc
-from hookcomb.vhc import validate
+from hookcomb.vhc import _EXHAUSTIVE_LIMIT, validate
 from hookcomb.walks import vhc312_series
 
 PYTHON = [sys.executable, "-m", "hookcomb"]
@@ -380,6 +379,13 @@ class TestSequencesAndChecks:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.endswith(f"capped at n <= 14: {_EXHAUSTIVE_LIMIT[3][1]}\n")
 
+    def test_conjectures_refusal_names_the_tightest_cap(self):
+        """Past the length-2 cap the refusal still names the cap that
+        binds, the tightest of the six classes, not the first one checked."""
+        proc = run("check", "--suite", "conjectures", "--nmax", "2001", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.endswith(f"capped at n <= 14: {_EXHAUSTIVE_LIMIT[3][1]}\n")
+
     @pytest.mark.parametrize(
         "suite,nmax",
         [("conjectures", "0"), ("conjectures", "-1"), ("tamari", "0"),
@@ -538,14 +544,16 @@ print(json.dumps([steps, before, "dataclasses" in sys.modules]))
 class TestStartup:
     @pytest.mark.parametrize("argv, allowed, forbidden", [
         (["walks", "--kmax", "3"], {"walks"}, None),
-        (["intervals", "--order", "T", "--n", "4", "--count-only"], None,
+        (["intervals", "--order", "C", "--n", "4", "--count-only"], None,
          {"perm", "vhc", "maps", "experiments"}),
+        (["intervals", "--order", "T", "--n", "4", "--count-only"], None,
+         {"maps", "experiments", "render"}),
         (["map", "--name", "phi", "--lower", "UDUD", "--upper", "UUDD"], None,
          {"experiments", "render"}),
         (["count", "--pattern", "132", "--n", "1..5", "--method", "enumerate"], None,
-         {"maps", "render"}),
+         {"maps", "render", "experiments", "walks"}),
         (["count", "--pattern", "312", "--n", "1..5"], {"frozen", "perm", "walks"}, None),
-    ], ids=["walks", "intervals", "map", "count", "count-formula"])
+    ], ids=["walks", "intervals", "intervals-T", "map", "count", "count-formula"])
     def test_a_command_loads_only_its_layers(self, argv, allowed, forbidden):
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(

@@ -2,16 +2,14 @@ import math
 import random
 import re
 import time
-from functools import lru_cache, partial
+from functools import partial
 
 import pytest
 
 from hookcomb.experiments import (
-    _EXHAUSTIVE_LIMIT,
     _TAMARI_LIMIT,
     _TRIANGLE_LIMIT,
     AsymptoticFit,
-    _carrier_counts,
     _log_concave,
     _reduced_series,
     _unimodal,
@@ -21,13 +19,19 @@ from hookcomb.experiments import (
     check_eq2,
     check_tamari_image,
     real_rooted,
-    reduced_count,
     triangle,
+)
+from hookcomb.motzkin import _INTERVAL_LIMIT, enumerate_intervals
+from hookcomb.perm import PATTERN_132, PATTERN_312
+from hookcomb.vhc import (
+    _EXHAUSTIVE_LIMIT,
+    _carrier_counts,
+    _carrier_pattern,
+    carriers,
+    enumerate_vhcs,
+    reduced_count,
     vhc_count_exhaustive,
 )
-from hookcomb.motzkin import _INTERVAL_LIMIT, count_intervals, enumerate_intervals
-from hookcomb.perm import PATTERN_132, PATTERN_312
-from hookcomb.vhc import _carrier_pattern, carriers, enumerate_vhcs
 from hookcomb.walks import _KMAX_LIMIT, _hook_slot, _walk_counts, count_walks
 
 from .conftest import (
@@ -35,6 +39,7 @@ from .conftest import (
     alternating_sum,
     configurations_on_avoiders,
     is_reduced,
+    paired_interval_count,
     perm,
     vhc_tallies_312,
 )
@@ -161,11 +166,11 @@ COUNTED_PATTERNS = tuple(
 COUNT_AT_CAP_BUDGET_S = 1.0
 
 
-@lru_cache(maxsize=None)
 def t_interval_count(n: int) -> int:
-    """``count_intervals("T", n)``, counted once for the two tests that
-    read it (1.9 s at n = 13)."""
-    return count_intervals("T", n)
+    """The T-intervals of length ``n`` by pairing lng vectors, not through
+    the 132 count that ``count_intervals`` runs (1.1 s at n = 13, counted
+    once per process)."""
+    return paired_interval_count("T", n)
 
 
 def listed_count(n: int, sigma, reduced: bool) -> int:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hookcomb.motzkin import (
+    _INTERVAL_LIMIT,
     Interval,
     MotzkinPath,
     count_intervals,
@@ -17,12 +18,14 @@ from hookcomb.motzkin import (
     path_class,
     support,
 )
+from hookcomb.vhc import _EXHAUSTIVE_LIMIT
 
 from .conftest import (
     dyck_prefix_leq,
     is_dyck_prefix,
     lng_scan,
     motzkin_by_convolution,
+    paired_interval_count,
     reconstruct,
 )
 
@@ -255,8 +258,15 @@ class TestEnumeration:
     @pytest.mark.parametrize("order", ["S", "C", "T"])
     @pytest.mark.parametrize("n", range(10))
     def test_count_matches_listing(self, order, n):
-        """C from the walk series, S and T by packed counting."""
+        """C from the walk series, T from the 132 count, S by packed
+        counting."""
         assert count_intervals(order, n) == sum(1 for _ in enumerate_intervals(order, n))
+
+    @pytest.mark.parametrize("n", range(_INTERVAL_LIMIT["T"][0] + 1))
+    def test_t_count_matches_the_pairing(self, n):
+        """The T count through the paper's bijection equals the lng pairing
+        at every size the listing reaches."""
+        assert count_intervals("T", n) == paired_interval_count("T", n)
 
     def test_counts_refused_past_the_cap_before_any_work(self, monkeypatch):
         import hookcomb.motzkin
@@ -268,12 +278,14 @@ class TestEnumeration:
         monkeypatch.setattr(hookcomb.motzkin, "enumerate_paths", no_paths)
         with pytest.raises(ValueError, match=r"M\(12\) = 15511.*n > 11"):
             count_intervals("S", 12)
-        with pytest.raises(ValueError, match=r"M\(14\) = 113634.*n > 13"):
+        with pytest.raises(ValueError, match=f"132-avoiders are capped at n <= "
+                                             f"{_EXHAUSTIVE_LIMIT[3][0]}: "):
             count_intervals("T", 14)
         with pytest.raises(ValueError, match=f"cap of {_KMAX_LIMIT[0] + 1}"):
             count_intervals("C", _KMAX_LIMIT[0] + 1)
-        with pytest.raises(ValueError, match="n must be >= 0"):
-            count_intervals("C", -1)
+        for order in "CT":
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                count_intervals(order, -1)
         with pytest.raises(ValueError, match="order must be one of"):
             count_intervals("X", 3)
 

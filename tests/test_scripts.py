@@ -4,12 +4,15 @@ place, run against the package as it is."""
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import hookcomb
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,10 +119,10 @@ def measure_caps():
 
 def cap_keys() -> dict:
     """Every cap key ``(module, name, key)`` with its ``(value, cost)``:
-    the module-level names ending in ``_LIMIT`` in the modules that refuse
-    sizes, each one pair or a dict of pairs (``key`` is None for a pair)."""
+    the module-level names ending in ``_LIMIT`` in every module of the
+    package, each one pair or a dict of pairs (``key`` is None for a pair)."""
     caps = {}
-    for module in ("walks", "experiments", "motzkin"):
+    for module in (info.name for info in pkgutil.iter_modules(hookcomb.__path__)):
         for name, limit in vars(importlib.import_module(f"hookcomb.{module}")).items():
             if name.endswith("_LIMIT"):
                 pairs = limit.items() if isinstance(limit, dict) else [(None, limit)]
@@ -165,7 +168,7 @@ def test_every_cap_has_one_readme_row_and_one_script_entry(measure_caps):
 def test_measure_caps_raises_the_cap_in_its_child(measure_caps):
     """The step past a cap runs in a child that raises the cap; without
     the raise the same command is refused."""
-    cap = ("experiments", "_EXHAUSTIVE_LIMIT", 2)
+    cap = ("vhc", "_EXHAUSTIVE_LIMIT", 2)
     command = "hookcomb count --pattern 21 --n 2001"
     seconds, peak = measure_caps.run_once(cap, command, 2001)
     assert seconds > 0 and peak > 0

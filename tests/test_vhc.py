@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hookcomb.experiments import _EXHAUSTIVE_LIMIT, reduced_count
 from hookcomb.perm import PATTERN_132, PATTERN_312, Permutation, avoiders
-from hookcomb.vhc import Vhc, carriers, enumerate_vhcs, validate
+from hookcomb.vhc import (_EXHAUSTIVE_LIMIT, Vhc, carriers, enumerate_vhcs,
+                          reduced_count, validate)
 
 from .conftest import (
     _bruteforce_assignments,
