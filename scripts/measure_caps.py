@@ -42,7 +42,7 @@ RUNS = 3
 #: run in the cap's module
 COMMANDS = {
     ("walks", "_KMAX_LIMIT", None): (["count_walks({n})"], "count_walks({n})"),
-    ("experiments", "_TRIANGLE_LIMIT", None): (
+    ("walks", "_TRIANGLE_LIMIT", None): (
         ["hookcomb check --suite conjectures --kmax {n}"],
         "hookcomb check --suite conjectures --kmax {n}"),
     ("experiments", "_TAMARI_LIMIT", None): (

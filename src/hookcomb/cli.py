@@ -257,7 +257,7 @@ def _cmd_intervals(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    from .experiments import triangle
+    from .walks import triangle
 
     rows = triangle(args.kmax)
     if args.output == "csv":
@@ -286,7 +286,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .experiments import asymptotic_fit
+    from .walks import asymptotic_fit
 
     lo, hi = _parse_range(args.window)
     fit = asymptotic_fit(lo, hi)

@@ -31,7 +31,6 @@ from math import comb
 from typing import Iterator
 
 from .frozen import Frozen
-from .walks import vhc312_series
 
 ORDERS = ("S", "C", "T")
 
@@ -195,19 +194,29 @@ def count_intervals(order: str, n: int) -> int:
     C and T read it off the configurations one size up, by the paper's
     bijections: ``ll_map`` carries those on 312-avoiders of size ``n + 1``
     onto the C-intervals of length ``n``, and after ``w_map`` those on
-    132-avoiders onto the T-intervals.  So C is ``vhc312_series`` under the
-    walk table's cap, and T the 132 count of ``vhc.vhc_count_exhaustive``
-    under its cap; both equal the listed counts for every n <= 13.  S counts
-    the pairs ``enumerate_intervals`` would list, without building them.
+    132-avoiders onto the T-intervals.  So C is ``walks.vhc312_series``,
+    under the walk table's cap (a table of ``k <= n``), and T the 132 count
+    of ``vhc.vhc_count_exhaustive``, under that count's cap one size down;
+    both equal the listed counts for every n <= 13.  S counts the pairs
+    ``enumerate_intervals`` would list, without building them.
     """
     if order in ("C", "T") and n < 0:
         raise ValueError("n must be >= 0")
     if order == "C":
+        from .walks import _KMAX_LIMIT, vhc312_series
+
+        cap, cost = _KMAX_LIMIT
+        if n > cap:
+            raise ValueError(f"C-interval counts are capped at n <= {cap}: {cost}")
         return vhc312_series(n + 1)[n + 1]
     if order == "T":  # the only count that loads the avoider layers
         from .perm import PATTERN_132
-        from .vhc import vhc_count_exhaustive
+        from .vhc import _exhaustive_limit, vhc_count_exhaustive
 
+        size, cost = _exhaustive_limit(PATTERN_132)
+        cap = size - 1  # the configurations are one size up
+        if n > cap:
+            raise ValueError(f"T-interval counts are capped at n <= {cap}: {cost}")
         return vhc_count_exhaustive(n + 1, PATTERN_132)[n + 1]
     keyed, by_class, guard = _packed_paths(order, n)
     return sum(

@@ -1,4 +1,6 @@
-"""Exact counting of closed first-quadrant lattice walks and derived sums.
+"""Exact counting of closed first-quadrant lattice walks, and the numbers
+read off the walk table: the 312 configuration counts, the reduced series
+and triangle, and the growth fit.
 
 ``walk_count(k)`` is the number of length-``k`` walks that start and end at
 the origin, stay in the quadrant ``x >= 0, y >= 0``, and use the step set
@@ -67,9 +69,25 @@ below ``Z^(t+1)`` and ``W >= b * (t + 1)`` bits never carry; entry ``k``
 is ``sum(w(k, h) * Z^h)``.  A slot of ``D[y-1]`` has degree ``<= t - 1``
 and coefficients ``<= 2 * 5^(t-1) < Z``, so it is below ``Z^t <=
 2^(W - b)``, and ``(D[y-1] >> W) << b`` equals the one shift ``D[y-1] >>
-(W - b)``, which the loop uses.  Under the bijections of ``maps`` the
-hooks of a configuration are the y-raising steps of its walk, which is how
-``experiments.triangle`` reads it.
+(W - b)``, which the loop uses.
+
+That split is the reduced-configuration triangle, with no sweep.  Through
+``ll_map`` and ``phi`` of ``maps`` the hooks of a configuration become the
+U letters of the lower path, that is the y-raising steps of its walk, and
+restricting to the hook endpoints and descent bottoms keeps every hook, so
+the identity that ``experiments.check_eq2`` checks refines by hook count:
+
+    reduced(n, h) = sum((-1)^i * w(n-1-i, h))   over i = 0..n,
+
+with ``w(-1, 0) = 1`` and ``w(k, h)`` counting closed walks of length
+``k`` with ``h`` y-raising steps.  ``reduced_series`` takes every such sum
+off one running series, ``r(0) = 1`` and ``r(n) = w(n - 1) - r(n - 1)``.
+On the hook-weighted table term ``n`` holds every ``reduced(n, h)`` in its
+``b``-bit slot ``h`` (each is at most ``w(n-1, h) < Z``, since
+``reduced(n) = w(n-1) - reduced(n-1)``), and ``triangle`` reads entry
+``i`` of row ``k`` as slot ``k`` at ``n = 2k+i``.  Checked against
+exhaustive hook histograms for every ``(n, h)`` with ``n <= 12``, and the
+diagonal against the 3-D Catalan numbers through ``k = 40``.
 
 On a 2-core Xeon with Python 3.11, in alternating fresh processes against
 the level layout, ``count_walks(400)`` took 0.21-0.39 s against 0.38-0.52
@@ -83,8 +101,9 @@ a dict DP to 40, the hook-slot sums to 80, and the digests of ``walks
 --kmax 400``, ``count --pattern 312 --n 1..300`` and ``fit --window
 200:400``.
 
-The plain table feeds one binomial transform, ``vhc312_series``, which
-yields every term from a single difference-table pass:
+Besides the reduced series, the plain table feeds one binomial
+transform, ``vhc312_series``, which yields every term from a single
+difference-table pass:
 
 * ``vhc312_series(n)[n]``: the number of valid hook configurations on
   312-avoiding permutations of size ``n``, which equals
@@ -95,14 +114,25 @@ yields every term from a single difference-table pass:
   ``(U, E)``.  Such a pair flattens to a quadrant walk of length ``n`` minus
   its ``(E, E)`` positions, which gives ``sum(C(n, k) * walk_count(k))``,
   the same sum one size up.
+
+``asymptotic_fit`` fits the growth of that series by least squares.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import accumulate
+from typing import NamedTuple
 
 STEPS: tuple[tuple[int, int], ...] = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1))
 
 #: largest ``k_max`` that ``count_walks`` builds, and its cost at the cap
 _KMAX_LIMIT = (1000, "count_walks(1000) takes about 5.5 s and 29 MB peak on a 2-core Xeon")
+
+#: rows of ``triangle``: its largest ``k_max`` and its cost at the cap
+_TRIANGLE_LIMIT = (40, "check --suite conjectures took 1.2 s over rows 1..40, and the "
+                       "rows with their Sturm checks 1.4 s over rows 1..41, on a 2-core Xeon")
+_MIN_FIT_POINTS = 50
 
 #: steps of growth a repack of the walk DP leaves room for; 16 to 64 timed
 #: alike at k = 300, 400 and 800 (2.9-3.1 s at best at 800), 8 and below
@@ -216,3 +246,108 @@ def vhc312_series(n_max: int) -> tuple[int, ...]:
         values.append(row[0])
         row = [a + b for a, b in zip(row, row[1:])]
     return tuple(values)
+
+
+def reduced_series(walks: tuple[int, ...]) -> list[int]:
+    """``r(n) = sum((-1)^i * w(n - 1 - i))`` over ``i = 0..n``, with
+    ``w(-1) = 1``, for every ``n <= len(walks)``: the reduced counts when
+    ``walks`` holds walk counts.  One running series, ``r(0) = 1`` and
+    ``r(n) = w(n - 1) - r(n - 1)``."""
+    return list(accumulate(walks, lambda r, w: w - r, initial=1))
+
+
+# --- the coefficient triangle ----------------------------------------------
+
+
+class TriangleRow(NamedTuple):
+    """Row ``k``: reduced k-hook configuration counts on 312-avoiders of
+    sizes ``2k+1 .. 3k`` (the only sizes where any exist)."""
+
+    k: int
+    entries: tuple[int, ...]
+
+
+def triangle(k_max: int) -> list[TriangleRow]:
+    """Rows ``1..k_max``, read off the hook-weighted walk DP: entry ``i``
+    of row ``k`` is slot ``k`` of ``reduced_series`` at ``n = 2k+i`` (the
+    module docstring derives it).
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    cap, cost = _TRIANGLE_LIMIT
+    if k_max > cap:
+        raise ValueError(f"triangle rows are capped at k <= {cap}: {cost}")
+    length = 3 * k_max - 1
+    reduced = reduced_series(_walk_counts(length, by_hooks=True))
+    return [
+        TriangleRow(k, tuple(
+            _hook_slot(reduced[2 * k + i], k, length) for i in range(1, k + 1)
+        ))
+        for k in range(1, k_max + 1)
+    ]
+
+
+# --- asymptotic growth fit --------------------------------------------------
+
+
+class AsymptoticFit(NamedTuple):
+    """Least-squares fit of ``log f(n) ~ n log(growth) - alpha log n + c``."""
+
+    growth_hat: float
+    alpha_hat: float
+    window: tuple[int, int]
+    residual: float
+
+
+def asymptotic_fit(
+    n_lo: int, n_hi: int, counts: dict[int, int] | tuple[int, ...] | None = None
+) -> AsymptoticFit:
+    """Fit the growth constant and polynomial correction of the exact
+    312-avoiding configuration counts over ``n_lo..n_hi``.
+
+    ``counts`` may supply precomputed (or synthetic) exact values indexed
+    by ``n``; by default they are read off one ``vhc312_series``, which
+    builds the walk table once.  Exact integers are used throughout and
+    converted to floating point only at the final log stage.
+    """
+    if n_lo < 1:
+        raise ValueError("window must start at n >= 1")
+    if n_hi - n_lo + 1 < _MIN_FIT_POINTS:
+        raise ValueError(f"window too small: need >= {_MIN_FIT_POINTS} points")
+    if counts is None:
+        counts = vhc312_series(n_hi)
+    ns = list(range(n_lo, n_hi + 1))
+    ys = [math.log(counts[n]) for n in ns]
+    cols = [[float(n) for n in ns], [-math.log(n) for n in ns], [1.0] * len(ns)]
+    normal = [
+        [sum(cols[i][t] * cols[j][t] for t in range(len(ns))) for j in range(3)]
+        for i in range(3)
+    ]
+    rhs = [sum(cols[i][t] * ys[t] for t in range(len(ns))) for i in range(3)]
+    sol = _solve3(normal, rhs)
+    fitted = [
+        sol[0] * cols[0][t] + sol[1] * cols[1][t] + sol[2] for t in range(len(ns))
+    ]
+    residual = math.sqrt(
+        sum((y - f) ** 2 for y, f in zip(ys, fitted)) / len(ns)
+    )
+    return AsymptoticFit(
+        growth_hat=math.exp(sol[0]),
+        alpha_hat=sol[1],
+        window=(n_lo, n_hi),
+        residual=residual,
+    )
+
+
+def _solve3(matrix: list[list[float]], rhs: list[float]) -> list[float]:
+    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(3):
+        pivot = max(range(col, 3), key=lambda r: abs(m[r][col]))
+        m[col], m[pivot] = m[pivot], m[col]
+        if m[col][col] == 0:
+            raise ValueError("singular fit system")
+        for row in range(3):
+            if row != col:
+                f = m[row][col] / m[col][col]
+                m[row] = [m[row][j] - f * m[col][j] for j in range(4)]
+    return [m[i][3] / m[i][i] for i in range(3)]

@@ -15,13 +15,7 @@ from math import comb
 
 import pytest
 
-from hookcomb.experiments import (
-    asymptotic_fit,
-    catalan,
-    check_conjectures,
-    check_eq2,
-    triangle,
-)
+from hookcomb.experiments import catalan, check_conjectures, check_eq2
 from hookcomb.maps import ll_map, phi, phi_inverse, swl, swr, w_map, w_map_left_inverse
 from hookcomb.motzkin import enumerate_intervals
 from hookcomb.perm import (
@@ -31,7 +25,7 @@ from hookcomb.perm import (
     avoiders,
 )
 from hookcomb.vhc import enumerate_vhcs, validate
-from hookcomb.walks import count_walks, vhc312_series
+from hookcomb.walks import asymptotic_fit, count_walks, triangle, vhc312_series
 
 from .conftest import (
     all_permutations,

@@ -547,13 +547,17 @@ class TestStartup:
         (["intervals", "--order", "C", "--n", "4", "--count-only"], None,
          {"perm", "vhc", "maps", "experiments"}),
         (["intervals", "--order", "T", "--n", "4", "--count-only"], None,
-         {"maps", "experiments", "render"}),
+         {"maps", "experiments", "render", "walks"}),
+        (["intervals", "--order", "S", "--n", "4"], None, {"walks", "perm", "vhc"}),
         (["map", "--name", "phi", "--lower", "UDUD", "--upper", "UUDD"], None,
          {"experiments", "render"}),
         (["count", "--pattern", "132", "--n", "1..5", "--method", "enumerate"], None,
          {"maps", "render", "experiments", "walks"}),
         (["count", "--pattern", "312", "--n", "1..5"], {"frozen", "perm", "walks"}, None),
-    ], ids=["walks", "intervals", "intervals-T", "map", "count", "count-formula"])
+        (["triangle", "--kmax", "2"], {"walks"}, None),
+        (["fit", "--window", "50:110"], {"walks"}, None),
+    ], ids=["walks", "intervals", "intervals-T", "intervals-S", "map", "count",
+            "count-formula", "triangle", "fit"])
     def test_a_command_loads_only_its_layers(self, argv, allowed, forbidden):
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(

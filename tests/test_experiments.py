@@ -8,18 +8,13 @@ import pytest
 
 from hookcomb.experiments import (
     _TAMARI_LIMIT,
-    _TRIANGLE_LIMIT,
-    AsymptoticFit,
     _log_concave,
-    _reduced_series,
     _unimodal,
-    asymptotic_fit,
     catalan,
     check_conjectures,
     check_eq2,
     check_tamari_image,
     real_rooted,
-    triangle,
 )
 from hookcomb.motzkin import _INTERVAL_LIMIT, enumerate_intervals
 from hookcomb.perm import PATTERN_132, PATTERN_312
@@ -32,7 +27,17 @@ from hookcomb.vhc import (
     reduced_count,
     vhc_count_exhaustive,
 )
-from hookcomb.walks import _KMAX_LIMIT, _hook_slot, _walk_counts, count_walks
+from hookcomb.walks import (
+    _KMAX_LIMIT,
+    _TRIANGLE_LIMIT,
+    AsymptoticFit,
+    _hook_slot,
+    _walk_counts,
+    asymptotic_fit,
+    count_walks,
+    reduced_series,
+    triangle,
+)
 
 from .conftest import (
     all_permutations,
@@ -81,8 +86,8 @@ class TestTriangle:
         """reduced(n, h) = sum((-1)^i w(n-1-i, h)) for every n <= 12 and
         every h, read off the hook-weighted walk DP, equals the exhaustive
         histogram; the triangle rows are its band entries."""
-        packed = _reduced_series(_walk_counts(11, by_hooks=True))
-        plain = _reduced_series(count_walks(11))
+        packed = reduced_series(_walk_counts(11, by_hooks=True))
+        plain = reduced_series(count_walks(11))
         rows = {row.k: row.entries for row in triangle(5)}
         for n in range(13):
             derived = {h: _hook_slot(packed[n], h, 11) for h in range(n + 1)}
@@ -118,7 +123,7 @@ class TestReducedSeries:
 
     def test_matches_direct_sum_to_400(self):
         walks = count_walks(399)
-        reduced = _reduced_series(walks)
+        reduced = reduced_series(walks)
         assert len(reduced) == 401
         assert reduced[0] == 1  # w(-1)
         for n in range(401):
@@ -126,7 +131,7 @@ class TestReducedSeries:
 
     def test_matches_direct_sum_hook_weighted_to_60(self):
         walks = _walk_counts(59, by_hooks=True)
-        reduced = _reduced_series(walks)
+        reduced = reduced_series(walks)
         assert len(reduced) == 61
         for n in range(61):
             assert reduced[n] == alternating_sum(walks, n), n

@@ -269,6 +269,8 @@ class TestEnumeration:
         assert count_intervals("T", n) == paired_interval_count("T", n)
 
     def test_counts_refused_past_the_cap_before_any_work(self, monkeypatch):
+        """Each count refuses in its own terms, the order and the ``n`` of
+        the call, with the cost of the cap that binds it."""
         import hookcomb.motzkin
         from hookcomb.walks import _KMAX_LIMIT
 
@@ -278,11 +280,14 @@ class TestEnumeration:
         monkeypatch.setattr(hookcomb.motzkin, "enumerate_paths", no_paths)
         with pytest.raises(ValueError, match=r"M\(12\) = 15511.*n > 11"):
             count_intervals("S", 12)
-        with pytest.raises(ValueError, match=f"132-avoiders are capped at n <= "
-                                             f"{_EXHAUSTIVE_LIMIT[3][0]}: "):
-            count_intervals("T", 14)
-        with pytest.raises(ValueError, match=f"cap of {_KMAX_LIMIT[0] + 1}"):
-            count_intervals("C", _KMAX_LIMIT[0] + 1)
+        cap, cost = _EXHAUSTIVE_LIMIT[3]
+        with pytest.raises(ValueError) as refused:
+            count_intervals("T", cap)
+        assert str(refused.value) == f"T-interval counts are capped at n <= {cap - 1}: {cost}"
+        cap, cost = _KMAX_LIMIT
+        with pytest.raises(ValueError) as refused:
+            count_intervals("C", cap + 1)
+        assert str(refused.value) == f"C-interval counts are capped at n <= {cap}: {cost}"
         for order in "CT":
             with pytest.raises(ValueError, match="n must be >= 0"):
                 count_intervals(order, -1)

@@ -1,10 +1,12 @@
+import ast
 import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 
+import hookcomb
 from hookcomb import cli
-from hookcomb.experiments import _reduced_series
 from hookcomb.maps import ALLOWED_STEP_PAIRS
 from hookcomb.walks import (
     STEPS,
@@ -12,6 +14,7 @@ from hookcomb.walks import (
     _hook_slot,
     _walk_counts,
     count_walks,
+    reduced_series,
     vhc312_series,
 )
 
@@ -174,7 +177,7 @@ class TestCountTable:
     reduced series, and written by ``walks`` as CSV or JSON."""
 
     def test_convention_at_minus_one(self, walk_table_small):
-        reduced = _reduced_series(walk_table_small)
+        reduced = reduced_series(walk_table_small)
         assert reduced[0] == 1  # w(-1)
         assert reduced[1] == walk_table_small[0] - 1 == 0
 
@@ -244,3 +247,26 @@ class TestVhc312Series:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             vhc312_series(-1)
+
+
+def test_no_other_module_reads_a_private_walks_name():
+    """The walk DP's packing (``_walk_counts``, ``_hook_slot``, the slot
+    widths) is read only inside ``walks``: no other module of the package
+    imports an underscore name from it, or reads one off the module.  The
+    one exception is a size cap (``*_LIMIT``), which README's Size caps
+    table publishes with its module, and which ``count_intervals`` states
+    for C."""
+    found = []
+    for path in sorted(Path(hookcomb.__file__).parent.glob("*.py")):
+        if path.stem == "walks":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("walks", "hookcomb.walks"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "walks":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("_") and not name.endswith("_LIMIT")]
+    assert found == []
