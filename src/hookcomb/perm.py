@@ -15,8 +15,8 @@ Conventions used throughout the package:
 ``avoiders`` generates a class by backtracking over one-line prefixes, with
 one extension rule for patterns of every length (see ``_avoider_words``),
 so the search never enters a dead end.  The same rule guards the maps:
-``find_occurrence`` replays it over a whole permutation in one pass, and
-searches for the first occurrence, in O(n^2), only on a refusal.
+``find_occurrence`` replays it over a whole permutation in one pass and
+quotes the occurrence that the rule holds where it refuses.
 
 All values are immutable after construction and every operation here is
 pure, so they are safe to call from concurrent workers.
@@ -94,52 +94,26 @@ PATTERN_132 = Permutation((1, 3, 2))
 PATTERN_312 = Permutation((3, 1, 2))
 
 
-def find_occurrence(pi: Permutation, sigma: Permutation) -> tuple[int, ...] | None:
-    """1-based indices of the lexicographically first occurrence of a
-    length-3 pattern ``sigma`` in ``pi``, or ``None`` when ``pi`` avoids it.
-    With the values left of a letter marked used, the unused ones are
-    exactly those to its right, so ``pi`` avoids ``sigma`` iff ``_guard3``
-    allows every letter in turn.  Only a refusal pays for the search."""
+def find_occurrence(pi: Permutation, sigma: Permutation) -> tuple[int, int, int] | None:
+    """1-based indices of an occurrence of a length-3 pattern ``sigma`` in
+    ``pi``, or ``None`` when ``pi`` avoids it.  With the values left of a
+    letter marked used, the unused ones are exactly those to its right, so
+    ``pi`` avoids ``sigma`` iff ``_guard3`` lets every letter follow.  At
+    the first letter it refuses, its witness is the occurrence quoted: the
+    one whose middle letter is leftmost; among those, the least first value
+    when sigma(1) < sigma(3), else the greatest; then the least last value.
+    """
     if sigma.n != 3:
         raise ValueError(f"not a length-3 pattern: {sigma}")
+    ent = pi.entries
     used = bytearray(pi.n + 1)
-    allows = _guard3(sigma.entries, used)
-    for x in pi.entries:
-        if not allows(x):
-            return _first_occurrence(pi.entries, sigma.entries)
+    refuses = _guard3(sigma.entries, used)
+    for j, x in enumerate(ent):
+        if witness := refuses(x):
+            a, u = witness
+            return ent.index(a) + 1, j + 1, ent.index(u, j) + 1
         used[x] = 1
     return None
-
-
-def _first_occurrence(ent: tuple[int, ...], sig: tuple[int, ...]) -> tuple[int, int, int]:
-    """The lexicographically first occurrence of ``sig`` in a word that
-    contains it, in O(n^2).  At a middle letter ``x``, of the values right of
-    it (unused, as in ``_guard3``) on the third letter's side of ``x``, the
-    one ``t`` furthest toward its side of the first serves every first
-    letter that any serves; so the first letters that fit are a range of
-    values, and the leftmost is a minimum over one slice of positions."""
-    s1, s2, s3 = sig
-    n = len(ent)
-    pos = [n, *sorted(range(n), key=ent.__getitem__)]  # value -> position
-
-    def side(v: int, above: bool) -> tuple[int, int]:
-        return (v + 1, n + 1) if above else (1, v)
-
-    def positions(r: tuple[int, int], s: tuple[int, int]) -> list[int]:
-        return pos[max(r[0], s[0]) : min(r[1], s[1])]
-
-    used = bytearray(n + 1)
-    best = (n, n)
-    for j, x in enumerate(ent):
-        t = (used.rfind if s1 < s3 else used.find)(0, *side(x, s2 < s3))
-        used[x] = 1
-        if t > 0:
-            i = min(positions(side(x, s1 > s2), side(t, s1 > s3)), default=n)
-            if i < j:
-                best = min(best, (i, j))
-    i, j = best
-    k = min(p for p in positions(side(ent[j], s2 < s3), side(ent[i], s1 < s3)) if p > j)
-    return i + 1, j + 1, k + 1
 
 
 def avoiders(n: int, sigma: Permutation) -> Iterator[Permutation]:
@@ -183,16 +157,16 @@ def _avoider_words(n: int, sigma: Permutation) -> Iterator[tuple[int, ...]]:
     used = bytearray(n + 1)
     prefix: list[int] = []
     if sigma.n == 3:
-        allows = _guard3(sigma.entries, used)
+        refuses = _guard3(sigma.entries, used)
     else:
-        allows = _guard(sigma.entries, prefix, used)
+        refuses = _guard(sigma.entries, prefix, used)
 
     def rec() -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
             yield tuple(prefix)
             return
         for v in range(1, n + 1):
-            if used[v] or not allows(v):
+            if used[v] or refuses(v):
                 continue
             used[v] = 1
             prefix.append(v)
@@ -203,7 +177,7 @@ def _avoider_words(n: int, sigma: Permutation) -> Iterator[tuple[int, ...]]:
     return rec()
 
 
-def _guard3(sig: tuple[int, ...], used: bytearray) -> Callable[[int], bool]:
+def _guard3(sig: tuple[int, ...], used: bytearray) -> Callable[[int], tuple[int, int] | None]:
     """Extension test for a length-3 pattern ``sigma``, read off the flags
     ``used[1..n]`` of the current prefix.
 
@@ -213,7 +187,8 @@ def _guard3(sig: tuple[int, ...], used: bytearray) -> Callable[[int], bool]:
     sigma(2) vs sigma(3), and ``a`` on the side given by sigma(1) vs
     sigma(3), where ``a`` is the smallest (``u`` above ``a``) or largest
     (``u`` below ``a``) used value on the side of ``x`` given by sigma(1) vs
-    sigma(2).  ``x`` is allowed iff that interval holds no unused value.
+    sigma(2).  ``refuses(x)`` is ``None`` when that interval holds no unused
+    value, and else the witness ``(a, u)``, ``u`` its least unused value.
     """
     s1, s2, s3 = sig
     a_above = s1 > s2
@@ -221,18 +196,19 @@ def _guard3(sig: tuple[int, ...], used: bytearray) -> Callable[[int], bool]:
     u_above_x = s2 < s3
     pick = used.find if u_above_a else used.rfind
 
-    def allows(x: int) -> bool:
+    def refuses(x: int) -> tuple[int, int] | None:
         a = pick(1, x + 1) if a_above else pick(1, 1, x)
         if a < 0:
-            return True
+            return None
         lo, hi = (x, len(used)) if u_above_x else (0, x)
         if u_above_a:
             lo = max(lo, a)
         else:
             hi = min(hi, a)
-        return used.find(0, lo + 1, hi) < 0
+        u = used.find(0, lo + 1, hi)
+        return (a, u) if u > 0 else None
 
-    return allows
+    return refuses
 
 
 def _guard(sig: tuple[int, ...], prefix: list[int], used: bytearray) -> Callable[[int], bool]:
@@ -264,11 +240,11 @@ def _guard(sig: tuple[int, ...], prefix: list[int], used: bytearray) -> Callable
                     return True
         return False
 
-    def allows(x: int) -> bool:
+    def refuses(x: int) -> bool:
         at[sig[-2]] = x
-        return not completes(0, 0)
+        return completes(0, 0)
 
-    return allows
+    return refuses
 
 
 def ltr_maxima(pi: Permutation) -> tuple[Point, ...]:

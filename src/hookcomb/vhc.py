@@ -268,7 +268,7 @@ def _carrier_counts(n_max: int, pattern: Permutation, reduced: bool) -> list[int
     1234 and 2134) and for reduced 312, at every ``n <= 14``.
     """
     used = bytearray(1)  # the flags of the values 1..n-1, grown with n
-    allows = _guard3(_carrier_pattern(pattern).entries, used)
+    refuses = _guard3(_carrier_pattern(pattern).entries, used)
     memo: dict[tuple, int] = {}
 
     def count(left: int, last: int, tops: tuple[int, ...], bare: bool) -> int:
@@ -285,7 +285,7 @@ def _carrier_counts(n_max: int, pattern: Permutation, reduced: bool) -> list[int
             return total
         total = 0
         for x in range(1, len(used)):
-            if used[x] or not allows(x):
+            if used[x] or refuses(x):
                 continue
             used[x] = 1
             if last > x:  # a descent: a hook opens at last

@@ -236,10 +236,14 @@ def vhc312_series(n_max: int) -> tuple[int, ...]:
     walk counts, ``row[i] == sum(C(m, k) * walk_count(i + k))`` (Pascal's
     rule), so the head of the row is the term ``n = m + 1``.  That is
     ``O(n_max^2)`` additions for the whole series and no binomial
-    coefficient.
+    coefficient.  Sizes past the walk table's cap, one size up, are
+    refused before any work.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    cap, cost = _KMAX_LIMIT
+    if n_max > cap + 1:
+        raise ValueError(f"312 configuration counts are capped at n <= {cap + 1}: {cost}")
     values = [1]
     row = list(count_walks(max(n_max - 1, 0))[:n_max])
     while row:
@@ -299,23 +303,19 @@ class AsymptoticFit(NamedTuple):
     residual: float
 
 
-def asymptotic_fit(
-    n_lo: int, n_hi: int, counts: dict[int, int] | tuple[int, ...] | None = None
-) -> AsymptoticFit:
+def asymptotic_fit(n_lo: int, n_hi: int) -> AsymptoticFit:
     """Fit the growth constant and polynomial correction of the exact
     312-avoiding configuration counts over ``n_lo..n_hi``.
 
-    ``counts`` may supply precomputed (or synthetic) exact values indexed
-    by ``n``; by default they are read off one ``vhc312_series``, which
-    builds the walk table once.  Exact integers are used throughout and
-    converted to floating point only at the final log stage.
+    The counts are read off one ``vhc312_series``, which builds the walk
+    table once.  Exact integers are used throughout and converted to
+    floating point only at the final log stage.
     """
     if n_lo < 1:
         raise ValueError("window must start at n >= 1")
     if n_hi - n_lo + 1 < _MIN_FIT_POINTS:
         raise ValueError(f"window too small: need >= {_MIN_FIT_POINTS} points")
-    if counts is None:
-        counts = vhc312_series(n_hi)
+    counts = vhc312_series(n_hi)
     ns = list(range(n_lo, n_hi + 1))
     ys = [math.log(counts[n]) for n in ns]
     cols = [[float(n) for n in ns], [-math.log(n) for n in ns], [1.0] * len(ns)]

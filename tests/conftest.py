@@ -6,7 +6,7 @@ generators and dynamic programs have something independent to agree with.
 The geometric validator, the pattern test, the single-height slides, the
 northwest representatives and stripes point by point, the maps built on
 them, the pivot points, the frame of ``ll_map``, the Motzkin numbers by
-convolution, the first occurrences of the patterns of S3, the lng scan, the
+convolution, the quoted occurrences of the patterns of S3, the lng scan, the
 rebuilding of a path from its class and support, and the Dyck-prefix
 order are oracles only, and the identity permutation, the descents, the
 reduction of a configuration and the left-to-right minima are read only by
@@ -55,10 +55,12 @@ def all_permutations(n: int) -> tuple[Permutation, ...]:
 
 
 def brute_occurrence(pi: Permutation, sigma: Permutation) -> tuple[int, ...] | None:
-    """Oracle for ``find_occurrence``: 1-based indices of the first
-    occurrence of ``sigma`` in ``pi``, trying every k-subset of positions in
+    """Oracle for the pattern test: 1-based indices of the first occurrence
+    of ``sigma`` in ``pi``, trying every k-subset of positions in
     lexicographic order; ``None`` means ``pi`` avoids ``sigma``.  The empty
-    pattern occurs (vacuously) in every permutation as the empty tuple."""
+    pattern occurs (vacuously) in every permutation as the empty tuple.
+    ``find_occurrence`` quotes another occurrence (see
+    ``s3_quoted_occurrences``)."""
     k, ent, sig = sigma.n, pi.entries, sigma.entries
     pairs = tuple(itertools.combinations(range(k), 2))
     for combo in itertools.combinations(range(pi.n), k):
@@ -69,26 +71,34 @@ def brute_occurrence(pi: Permutation, sigma: Permutation) -> tuple[int, ...] | N
 
 
 @pytest.fixture(scope="session")
-def s3_first_occurrences() -> dict[Permutation, dict[Permutation, tuple[int, ...]]]:
-    """``brute_occurrence`` for the six patterns of S3 at once, over every
-    permutation of size <= 8: for each, the lexicographically first
-    occurrence of each pattern it contains, from one pass over its
-    3-subsets of positions in lexicographic order."""
+def s3_quoted_occurrences() -> dict[Permutation, dict[Permutation, tuple[int, ...]]]:
+    """Oracle for ``find_occurrence``: over every permutation of size <= 8,
+    the occurrence quoted of each pattern of S3 it contains.  Of the
+    3-subsets of positions that match the pattern, it is the one with the
+    least middle position; among those, the least first value when
+    sigma(1) < sigma(3), else the greatest; then the least last value.  The
+    subsets are scanned one middle position at a time, and a later middle
+    never wins, so the scan ends at the middle by which all six patterns
+    have occurred."""
     shapes = {
-        (s[0] < s[1], s[0] < s[2], s[1] < s[2]): sigma
+        (s[0] < s[1], s[0] < s[2], s[1] < s[2]): (sigma, 1 if s[0] < s[2] else -1)
         for sigma in all_permutations(3) for s in [sigma.entries]
     }
     table = {}
     for n in range(9):
         for pi in all_permutations(n):
-            ent, first = pi.entries, {}
-            for i, j, k in itertools.combinations(range(n), 3):
-                sigma = shapes[ent[i] < ent[j], ent[i] < ent[k], ent[j] < ent[k]]
-                if sigma not in first:
-                    first[sigma] = (i + 1, j + 1, k + 1)
-                    if len(first) == len(shapes):
-                        break
-            table[pi] = first
+            ent, quoted = pi.entries, {}
+            for j in range(1, n - 1):
+                least = {}
+                for i, k in itertools.product(range(j), range(j + 1, n)):
+                    sigma, sign = shapes[ent[i] < ent[j], ent[i] < ent[k], ent[j] < ent[k]]
+                    key = (sign * ent[i], ent[k], (i + 1, j + 1, k + 1))
+                    if sigma not in quoted and (sigma not in least or key < least[sigma]):
+                        least[sigma] = key
+                quoted.update((sigma, key[-1]) for sigma, key in least.items())
+                if len(quoted) == len(shapes):
+                    break
+            table[pi] = quoted
     return table
 
 

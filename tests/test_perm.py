@@ -66,18 +66,18 @@ class TestPatterns:
         assert not contains_pattern(perm("123"), perm("21"))
 
     def test_2143_contains_132(self):
-        # one witness is the subsequence 1, 4, 3 at positions (2, 3, 4);
-        # the scan returns the lexicographically first one, 2, 4, 3
+        # 2, 4, 3 at positions (1, 3, 4) and 1, 4, 3 at (2, 3, 4) share the
+        # leftmost middle letter, 4; the least first value, 1, is quoted
         assert contains_pattern(perm("2143"), PATTERN_132)
-        assert find_occurrence(perm("2143"), PATTERN_132) == (1, 3, 4)
+        assert find_occurrence(perm("2143"), PATTERN_132) == (2, 3, 4)
 
     @pytest.mark.parametrize("sigma", ALL_S3, ids=str)
-    def test_agrees_with_brute_force(self, sigma, s3_first_occurrences):
-        """The replay of the extension rule and the refusal search give the
-        verdict and the lexicographically first occurrence of the scan over
-        every 3-subset of positions, for every permutation of size <= 8."""
-        for pi, first in s3_first_occurrences.items():
-            assert find_occurrence(pi, sigma) == first.get(sigma), pi
+    def test_agrees_with_brute_force(self, sigma, s3_quoted_occurrences):
+        """The replay of the extension rule gives the verdict and quotes the
+        occurrence that the brute force over every 3-subset of positions
+        picks, for every permutation of size <= 8."""
+        for pi, quoted in s3_quoted_occurrences.items():
+            assert find_occurrence(pi, sigma) == quoted.get(sigma), pi
 
     def test_only_length_3_patterns(self):
         for sigma in (Permutation(()), perm("21"), perm("1324")):
@@ -149,17 +149,17 @@ class TestAvoiders:
 
     @staticmethod
     def assert_no_dead_ends(n, sigma, guard):
-        """``allows(x)`` holds exactly when prefix + x begins an avoider."""
+        """``refuses(x)`` is false exactly when prefix + x begins an avoider."""
         members = [pi.entries for pi in brute_avoiders(n, sigma)]
         prefixes = {word[:i] for word in members for i in range(n + 1)}
         for prefix in prefixes:
             used = bytearray(n + 1)
             for v in prefix:
                 used[v] = 1
-            allows = guard(sigma.entries, list(prefix), used)
+            refuses = guard(sigma.entries, list(prefix), used)
             for x in range(1, n + 1):
                 if not used[x]:
-                    assert allows(x) == (prefix + (x,) in prefixes)
+                    assert (not refuses(x)) == (prefix + (x,) in prefixes)
 
     @pytest.mark.parametrize("sigma", ALL_S3)
     @pytest.mark.parametrize("n", range(7))
@@ -174,7 +174,9 @@ class TestAvoiders:
     @pytest.mark.parametrize("sigma", ALL_S3, ids=str)
     def test_guard_agrees_with_length_3_guard(self, sigma):
         """Two implementations of one rule: on every prefix of every
-        permutation of size at most 6, they accept the same values."""
+        permutation of size at most 6, they refuse the same values, and each
+        witness ``(a, u)`` of ``_guard3`` forms ``sigma`` with ``x``, ``a``
+        from the prefix and ``u`` from the values left."""
         for n in range(7):
             prefixes = {word[:i] for word in itertools.permutations(range(1, n + 1))
                         for i in range(n + 1)}
@@ -182,11 +184,18 @@ class TestAvoiders:
                 used = bytearray(n + 1)
                 for v in prefix:
                     used[v] = 1
-                allows = _guard(sigma.entries, list(prefix), used)
-                allows3 = _guard3(sigma.entries, used)
+                refuses = _guard(sigma.entries, list(prefix), used)
+                refuses3 = _guard3(sigma.entries, used)
                 for x in range(1, n + 1):
                     if not used[x]:
-                        assert allows(x) == allows3(x), (prefix, x)
+                        witness = refuses3(x)
+                        assert refuses(x) == (witness is not None), (prefix, x)
+                        if witness:
+                            a, u = witness
+                            assert used[a] and not used[u], (prefix, x)
+                            word = (a, x, u)
+                            ranks = tuple(sorted(word).index(v) + 1 for v in word)
+                            assert ranks == sigma.entries, (prefix, x)
 
     def test_generated_words_pass_the_public_check(self):
         # avoiders skips the constructor's check; the words must still pass it
