@@ -276,7 +276,7 @@ def _cmd_check(args) -> int:
 
     nmax = _CHECK_NMAX[args.suite] if args.nmax is None else args.nmax
     if args.suite == "conjectures":
-        report = check_conjectures(k_max=args.kmax, bruhat_n_max=nmax)
+        report = check_conjectures(k_max=args.kmax, n_max=nmax)
     elif args.suite == "tamari":
         report = check_tamari_image(n_max=nmax)
     else:

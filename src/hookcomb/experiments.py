@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import permutations
 
-from .perm import PATTERN_132, PATTERN_312, Permutation, bruhat_leq
+from .perm import PATTERN_132, PATTERN_312, Permutation, weak_leq
 from .vhc import (_check_exhaustive, _exhaustive_limit, carriers, enumerate_vhcs,
                   reduced_count, vhc_count_exhaustive)
 from .walks import count_walks, reduced_series, triangle, vhc312_series
@@ -115,7 +115,7 @@ def check_tamari_image(n_max: int) -> list[dict]:
 # --- conjectures -----------------------------------------------------------
 
 
-def check_conjectures(k_max: int, bruhat_n_max: int) -> list[dict]:
+def check_conjectures(k_max: int, n_max: int) -> list[dict]:
     """Verdicts for the four open patterns in the data.
 
     1. The last entry of row ``k`` equals ``2 (3k)! / (k! (k+1)! (k+2)!)``.
@@ -129,10 +129,10 @@ def check_conjectures(k_max: int, bruhat_n_max: int) -> list[dict]:
 
     Everything lands in the report; nothing raises on a failed conjecture.
     """
-    if bruhat_n_max < 1:
-        raise ValueError("bruhat_n_max must be >= 1")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     # the tightest of the six classes' caps binds
-    _check_exhaustive(bruhat_n_max, min(_S3, key=lambda s: _exhaustive_limit(s)[0]))
+    _check_exhaustive(n_max, min(_S3, key=lambda s: _exhaustive_limit(s)[0]))
     report = []
     for row in triangle(k_max):
         k = row.k
@@ -161,12 +161,12 @@ def check_conjectures(k_max: int, bruhat_n_max: int) -> list[dict]:
         )
     # the 312 column is the walk series, which criterion 03 checks against
     # the exhaustive count; the other five classes are swept
-    counts = {sigma: vhc_count_exhaustive(bruhat_n_max, sigma)[1:]
+    counts = {sigma: vhc_count_exhaustive(n_max, sigma)[1:]
               for sigma in _S3 if sigma != PATTERN_312}
-    counts[PATTERN_312] = list(vhc312_series(bruhat_n_max)[1:])
+    counts[PATTERN_312] = list(vhc312_series(n_max)[1:])
     for sigma in _S3:
         for tau in _S3:
-            if sigma == tau or not bruhat_leq(sigma, tau):
+            if sigma == tau or not weak_leq(sigma, tau):
                 continue
             lo, hi = counts[sigma], counts[tau]
             ok = all(a <= b for a, b in zip(lo, hi))
@@ -175,7 +175,7 @@ def check_conjectures(k_max: int, bruhat_n_max: int) -> list[dict]:
                     "check": "conjecture4",
                     "sigma": str(sigma),
                     "tau": str(tau),
-                    "n_max": bruhat_n_max,
+                    "n_max": n_max,
                     "lhs": [str(c) for c in lo],
                     "rhs": [str(c) for c in hi],
                     "verdict": "holds" if ok else "fails",

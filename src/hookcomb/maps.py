@@ -20,10 +20,12 @@ The three families of maps implemented here:
   between the two would lie above the hook).  ``w_map`` is injective, and
   ``w_map_left_inverse`` undoes it by sending each endpoint to its stripe's
   rightmost point; applied to an arbitrary configuration on a 312-avoider,
-  it reports whether the pulled back candidate is itself valid.  Both are
-  lookups by value.  The tests check the ranges at every point of every
-  312-avoider, and both maps against the point-by-point definitions on
-  every configuration on the 132 and 312 carriers, for n <= 8.
+  it reports whether the pulled back candidate is itself valid.  Both read
+  the maxima alone: ``w_map`` bisects their values for the lowest one at
+  least as high as an endpoint, and the left inverse sends a maximum to
+  the previous maximum + 1.  The tests check the ranges at every point of
+  every 312-avoider, and both maps against the point-by-point definitions
+  on every configuration on the 132 and 312 carriers, for n <= 8.
 * ``ll_map`` encodes a configuration on a 312-avoider as a pair of Motzkin
   paths read off the gaps between consecutive left-to-right maxima
   (horizontal gaps for the lower path, vertical gaps for the upper one).
@@ -34,13 +36,14 @@ The three families of maps implemented here:
 
 Public functions check their permutation's pattern class once; a ``Vhc``
 is valid by construction, so no function here checks a configuration
-again.  The slide loop and the stripe ranges they share trust their input,
-and so do the images they build.
+again.  The slide loop they share trusts its input, and so do the images
+they build.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from bisect import bisect_left
+from typing import NamedTuple
 
 from .motzkin import (
     _DISPLACEMENT,
@@ -118,20 +121,6 @@ def swr(pi: Permutation) -> Permutation:
     return _slide_all(pi, below_first=False)
 
 
-# --- stripes ---------------------------------------------------------------
-
-
-def _stripe_ranges(ent: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """The stripes of a word as value ranges ``(low, high)``, bottom first:
-    for each left-to-right maximum ``high``, the values above the previous
-    maximum and at most ``high``, whose northwest representative it is."""
-    top = 0
-    for v in ent:
-        if v > top:
-            yield top + 1, v
-            top = v
-
-
 # --- configuration transfer ------------------------------------------------
 
 
@@ -152,11 +141,11 @@ def _w_map(v: Vhc) -> Vhc:
     image is a configuration (the tests rebuild every image for n <= 8)."""
     tau = v.pi
     image = _slide_all(tau, below_first=True)
-    # each value's northwest representative, as a value
-    head = {x: high for low, high in _stripe_ranges(image.entries)
-            for x in range(low, high + 1)}
-    pos = {x: i for i, x in enumerate(image.entries, 1)}
-    ne = frozenset(pos[head[tau.entries[i - 1]]] for i in v.ne_set)
+    maxima = ltr_maxima(image)
+    heights = [m.value for m in maxima]  # they rise left to right
+    # an endpoint's northwest representative: the lowest maximum at least as high
+    ne = frozenset(maxima[bisect_left(heights, tau.entries[i - 1])].index
+                   for i in v.ne_set)
     return Vhc._trusted(image, ne)
 
 
@@ -184,10 +173,12 @@ def w_map_left_inverse(w: Vhc) -> PullbackResult:
     pi = w.pi
     _require_avoiding(pi, PATTERN_312, "w_map_left_inverse")
     tau = _slide_all(pi, below_first=False)
-    bottom = {high: low for low, high in _stripe_ranges(pi.entries)}
+    maxima = ltr_maxima(pi)
+    # every northeast endpoint is a maximum, whose stripe's lowest value is
+    # the previous maximum + 1 (module docstring)
+    bottom = {m.index: prev.value + 1 for prev, m in zip((Point(0, 0), *maxima), maxima)}
     pos = {x: i for i, x in enumerate(tau.entries, 1)}
-    # every northeast endpoint heads a stripe (module docstring)
-    ne = frozenset(pos[bottom[pi.entries[i - 1]]] for i in w.ne_set)
+    ne = frozenset(pos[bottom[i]] for i in w.ne_set)
     return PullbackResult(tau, ne, validate(tau, ne))
 
 

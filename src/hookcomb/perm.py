@@ -14,7 +14,10 @@ Conventions used throughout the package:
 
 ``avoiders`` generates a class by backtracking over one-line prefixes, with
 one extension rule for patterns of every length (see ``_avoider_words``),
-so the search never enters a dead end.  The same rule guards the maps:
+so the search never enters a dead end.  Its step, ``_extensions``, is the
+one loop that grows a prefix, here and in ``vhc._carrier_counts``, and
+``_rule_state`` is what the length-3 rule reads of the used values, the
+state that search memoizes on.  The same rule guards the maps:
 ``find_occurrence`` replays it over a whole permutation in one pass and
 quotes the occurrence that the rule holds where it refuses.
 
@@ -24,6 +27,7 @@ pure, so they are safe to call from concurrent workers.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Iterator, NamedTuple
 
 from .frozen import Frozen
@@ -165,16 +169,25 @@ def _avoider_words(n: int, sigma: Permutation) -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
             yield tuple(prefix)
             return
-        for v in range(1, n + 1):
-            if used[v] or refuses(v):
-                continue
-            used[v] = 1
+        for v in _extensions(used, refuses):
             prefix.append(v)
             yield from rec()
             prefix.pop()
-            used[v] = 0
 
     return rec()
+
+
+def _extensions(used: bytearray, refuses: Callable[[int], object]) -> Iterator[int]:
+    """One step of the avoider search: each unused value of ``1..len(used)-1``
+    that ``refuses`` accepts, in increasing order.  A value is flagged in
+    ``used`` while the caller holds it, so the search below it sees the
+    grown prefix, and unflagged when the caller asks for the next one."""
+    for x in range(1, len(used)):
+        if used[x] or refuses(x):
+            continue
+        used[x] = 1
+        yield x
+        used[x] = 0
 
 
 def _guard3(sig: tuple[int, ...], used: bytearray) -> Callable[[int], tuple[int, int] | None]:
@@ -209,6 +222,29 @@ def _guard3(sig: tuple[int, ...], used: bytearray) -> Callable[[int], tuple[int,
         return (a, u) if u > 0 else None
 
     return refuses
+
+
+_USED_RUN = re.compile(rb"\x01+")
+
+
+def _rule_state(used: bytearray) -> bytes:
+    """What ``_guard3`` reads of the flags ``used``, for every length-3
+    pattern: the flag word with each run of used values written as one
+    mark.
+
+    The rule compares used values only with unused ones: it picks the used
+    value nearest to or farthest from ``x`` on one side of it, and asks
+    whether an unused value lies strictly between two bounds.  A run of used
+    values holds no unused value, so every value of the run compares alike
+    with each unused one, and one mark in place of the run changes no
+    verdict, read by the rank of ``x`` among the unused values.  Flagging
+    the unused value of one rank changes two words with equal states into
+    two words with equal states, so a memo keyed on the state stays sound
+    as a search grows the prefix (``vhc._carrier_counts``).  The tests
+    check both facts for the six length-3 patterns on every flag word of
+    length <= 11.
+    """
+    return _USED_RUN.sub(b"\x01", used)
 
 
 def _guard(sig: tuple[int, ...], prefix: list[int], used: bytearray) -> Callable[[int], bool]:
@@ -265,10 +301,11 @@ def _inversions(pi: Permutation) -> set[tuple[int, int]]:
     return {(a, b) for i, a in enumerate(ent) for b in ent[i + 1 :] if a > b}
 
 
-def bruhat_leq(sigma: Permutation, tau: Permutation) -> bool:
+def weak_leq(sigma: Permutation, tau: Permutation) -> bool:
     """Right weak order: ``tau`` is reachable from ``sigma`` by swapping
     adjacent ascents, which holds iff every inversion of ``sigma``, taken
-    as a pair of values, is an inversion of ``tau``."""
+    as a pair of values, is an inversion of ``tau``.  It is not the
+    Bruhat order, which on S3 also has 132 < 231 and 213 < 312."""
     if sigma.n != tau.n:
         raise ValueError(f"size mismatch: {sigma.n} vs {tau.n}")
     return _inversions(sigma) <= _inversions(tau)

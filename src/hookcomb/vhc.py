@@ -18,9 +18,11 @@ point lies above every point from the hook's southwest end onward.  So a
 ``Vhc`` stores only ``(pi, V)``: its constructor, ``validate`` and
 ``enumerate_vhcs`` run this one sweep without drawing a hook, the
 ``matching`` property draws them on demand, and ``_carrier_counts`` runs
-the sweep on a word as the word grows, counting configurations without
-listing them.  The tests keep a geometric oracle that tries every
-assignment and draws the hooks.
+the sweep on a word as the avoider search of ``perm`` grows it, counting
+configurations without listing them.  The search, its step and the state
+of the used values that the count's memo keys on belong to ``perm``;
+this module keeps the sweep and what the sweep reads.  The tests keep a
+geometric oracle that tries every assignment and draws the hooks.
 
 The close rule: in this sweep a close is one comparison, since a point that
 tops the innermost open hook's descent top tops every point after it too.
@@ -38,11 +40,11 @@ is the query that returns ``None`` instead.
 from __future__ import annotations
 
 import json
-import re
 from typing import Iterable, Iterator, NamedTuple
 
 from .frozen import Frozen
-from .perm import PATTERN_312, Permutation, Point, _avoider_words, _guard3, avoiders
+from .perm import (PATTERN_312, Permutation, Point, _avoider_words, _extensions, _guard3,
+                   _rule_state, avoiders)
 
 
 class Hook(NamedTuple):
@@ -201,7 +203,6 @@ _EXHAUSTIVE_LIMIT = {2: (2000, "count --pattern 123 --n 1..2000 takes 0.33 s "
                              "peak (132: 0.18 s), and n = 15 alone 1.4 s on a 2-core Xeon"),
                      4: (9, "count --pattern 623451 --n 1..9 takes 0.53 s, "
                             "and n = 10 alone 5.5 s on a 2-core Xeon")}
-_USED_RUN = re.compile(rb"\x01+")
 
 
 def _exhaustive_limit(pattern: Permutation) -> tuple[int, str]:
@@ -250,22 +251,23 @@ def _carrier_counts(n_max: int, pattern: Permutation, reduced: bool) -> list[int
     for a length-3 ``sigma'``; with ``reduced``, only the reduced ones.
 
     One depth-first search per size grows ``tau``, the carrier less its
-    last point ``n``, by the extension rule ``perm._guard3``, and runs the
-    sweep of ``_matching`` alongside: the point before a lower one is a
-    descent top and opens a hook, and a point that tops the innermost open
-    hook's descent top closes that hook, or does not (the close rule of
-    the module docstring).  ``n`` can then close one last hook.  The count below a
+    last point ``n``, by the avoider search's step ``perm._extensions``
+    under the rule ``perm._guard3``, and runs the sweep of ``_matching``
+    alongside: the point before a lower one is a descent top and opens a
+    hook, and a point that tops the innermost open hook's descent top
+    closes that hook, or does not (the close rule of the module
+    docstring).  ``n`` can then close one last hook.  The count below a
     prefix depends only on what the rest of the search reads, so it is
-    memoized on that.  ``_guard3`` and the sweep compare used values only
-    with unused ones, so the key is the used/unused word of ``1..n-1`` with
-    each run of used values one mark, the flag ``bare`` (for ``reduced``:
-    the last point is neither a hook endpoint nor a descent bottom yet, so
-    it must be a descent top), and the number of unused values below the
-    last value and below each open hook's descent top.  The key does not
-    hold ``n``, so one memo serves every size.  Equal to the earlier
-    search, one size at a time with a bit mask of the used values in its
-    key, for every length-3 ``sigma'`` (the patterns 132, 231, 312, 321,
-    1234 and 2134) and for reduced 312, at every ``n <= 14``.
+    memoized on that: ``perm._rule_state(used)`` for the rule, the flag
+    ``bare`` (for ``reduced``: the last point is neither a hook endpoint
+    nor a descent bottom yet, so it must be a descent top), and for the
+    sweep, which compares the last value and the open hooks' descent tops
+    only with the unused values it appends, the number of unused values
+    below each of them.  The key does not hold ``n``, so one memo serves
+    every size.  Equal to the earlier search, one size at a time with a
+    bit mask of the used values in its key, for every length-3 ``sigma'``
+    (the patterns 132, 231, 312, 321, 1234 and 2134) and for reduced 312,
+    at every ``n <= 14``.
     """
     used = bytearray(1)  # the flags of the values 1..n-1, grown with n
     refuses = _guard3(_carrier_pattern(pattern).entries, used)
@@ -278,23 +280,18 @@ def _carrier_counts(n_max: int, pattern: Permutation, reduced: bool) -> list[int
             # n closes the innermost hook; a reduced configuration needs it
             # to, since n is no descent bottom or top
             return int(len(tops) == 1 and not bare) if reduced else 1
-        key = (_USED_RUN.sub(b"\x01", used), bare,
-               *[used.count(0, 1, v) for v in (last, *tops)])
+        key = (_rule_state(used), bare, *[used.count(0, 1, v) for v in (last, *tops)])
         total = memo.get(key)
         if total is not None:
             return total
         total = 0
-        for x in range(1, len(used)):
-            if used[x] or refuses(x):
-                continue
-            used[x] = 1
+        for x in _extensions(used, refuses):
             if last > x:  # a descent: a hook opens at last
                 total += count(left - 1, x, (*tops, last), False)
             elif not bare:
                 if tops and x > tops[-1]:
                     total += count(left - 1, x, tops[:-1], False)
                 total += count(left - 1, x, tops, reduced)
-            used[x] = 0
         memo[key] = total
         return total
 

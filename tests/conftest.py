@@ -421,9 +421,9 @@ def nw_of(pi: Permutation, p: Point) -> Point:
 
 
 def stripes(pi: Permutation) -> tuple[tuple[Point, ...], ...]:
-    """Oracle for ``maps._stripe_ranges``: the fibers of ``nw_of``, point
-    by point, bottom first and each left to right, so a stripe's head is its
-    northwest representative."""
+    """Oracle for the stripes that ``maps`` reads off ``ltr_maxima``: the
+    fibers of ``nw_of``, point by point, bottom first and each left to
+    right, so a stripe's head is its northwest representative."""
     maxima = ltr_maxima(pi)  # they rise left to right
     groups: dict[Point, list[Point]] = {m: [] for m in maxima}
     for p in pi.points():

@@ -260,7 +260,7 @@ def test_criterion_10_conjecture_verdicts_and_docs():
     """Conjectures 3 and 4 yield "holds" verdicts at desk scale without
     failing the process, and non-D-finiteness lives in documentation only."""
     with criterion(10, budget_seconds=1800):
-        report = check_conjectures(k_max=4, bruhat_n_max=9)
+        report = check_conjectures(k_max=4, n_max=9)
         c3 = [e for e in report if e["check"] == "conjecture3"]
         c4 = [e for e in report if e["check"] == "conjecture4"]
         assert len(c3) == 4 and all(e["verdict"] == "holds" for e in c3)

@@ -407,9 +407,12 @@ class TestSequencesAndChecks:
          ("tamari", "-1"), ("eq2", "-1")],
     )
     def test_check_vacuous_nmax_fails(self, suite, nmax):
+        """The whole refusal: the parameter ``n_max`` and the least size its
+        suite checks, 0 for eq2 and 1 for the others."""
         proc = run("check", "--suite", suite, "--nmax", nmax, check=False)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "must be >=" in proc.stderr
+        least = 0 if suite == "eq2" else 1
+        assert proc.stderr == f"hookcomb: n_max must be >= {least}\n"
 
 
 class TestRender:

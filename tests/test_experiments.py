@@ -260,7 +260,7 @@ class TestExhaustiveCaps:
         monkeypatch.setattr(hookcomb.experiments, "triangle", None)
         cap = _EXHAUSTIVE_LIMIT[3][0]
         with pytest.raises(ValueError, match=f"132-avoiders .* n <= {cap}"):
-            check_conjectures(k_max=2, bruhat_n_max=cap + 1)
+            check_conjectures(k_max=2, n_max=cap + 1)
 
 
 class TestEq2:
@@ -291,7 +291,7 @@ class TestEq2:
 
 class TestConjectures:
     def test_report_k3(self):
-        report = check_conjectures(k_max=3, bruhat_n_max=6)
+        report = check_conjectures(k_max=3, n_max=6)
         by_check = {}
         for entry in report:
             by_check.setdefault(entry["check"], []).append(entry)
@@ -314,7 +314,7 @@ class TestConjectures:
             return real(n_max, pattern)
 
         monkeypatch.setattr(hookcomb.experiments, "vhc_count_exhaustive", counted)
-        report = check_conjectures(k_max=1, bruhat_n_max=7)
+        report = check_conjectures(k_max=1, n_max=7)
         assert PATTERN_312 not in swept
         # the other classes stay exhaustive, one range of sizes each
         assert len(swept) == len(set(swept)) == 5
@@ -325,13 +325,13 @@ class TestConjectures:
 
     def test_kmax_past_the_cap_is_refused_by_the_triangle(self):
         with pytest.raises(ValueError, match=f"k <= {_TRIANGLE_LIMIT[0]}: "):
-            check_conjectures(k_max=_TRIANGLE_LIMIT[0] + 1, bruhat_n_max=9)
+            check_conjectures(k_max=_TRIANGLE_LIMIT[0] + 1, n_max=9)
 
     def test_alternating_sum_row3(self):
         assert 14 - 51 + 42 == 5 == catalan(3)
         entry = [
             e
-            for e in check_conjectures(k_max=3, bruhat_n_max=3)
+            for e in check_conjectures(k_max=3, n_max=3)
             if e["check"] == "conjecture2" and e["k"] == 3
         ][0]
         assert entry["lhs"] == entry["rhs"] == "5"

@@ -4,7 +4,6 @@ import pytest
 
 from hookcomb.maps import (
     ALLOWED_STEP_PAIRS,
-    _stripe_ranges,
     ll_inverse,
     ll_map,
     phi,
@@ -236,8 +235,9 @@ class TestNorthwest:
         maximum and at most it, and in a 312-avoider its rightmost point is
         the lowest: what the transfer reads instead of the stripes."""
         for pi in avoiders(n, PATTERN_312):
-            ranges = list(_stripe_ranges(pi.entries))
-            for (low, high), stripe in zip(ranges, stripes(pi), strict=True):
+            highs = [m.value for m in ltr_maxima(pi)]
+            lows = [top + 1 for top in [0, *highs[:-1]]]
+            for low, high, stripe in zip(lows, highs, stripes(pi), strict=True):
                 assert stripe[0].value == high, (pi, stripe)
                 assert {p.value for p in stripe} == set(range(low, high + 1))
                 assert stripe[-1].value == low, (pi, stripe)

@@ -9,10 +9,12 @@ from hookcomb.perm import (
     PATTERN_312,
     Permutation,
     avoiders,
-    bruhat_leq,
+    weak_leq,
     find_occurrence,
+    _extensions,
     _guard,
     _guard3,
+    _rule_state,
     ltr_maxima,
 )
 
@@ -210,6 +212,39 @@ class TestAvoiders:
             avoiders(-1, PATTERN_312)  # the call raises, not the first item
 
 
+class TestRuleState:
+    """``_rule_state`` holds all that ``_guard3`` reads of the flags, which
+    is what lets ``vhc._carrier_counts`` key its memo on it."""
+
+    @pytest.mark.parametrize("sigma", ALL_S3, ids=str)
+    def test_equal_states_read_alike(self, sigma):
+        """On every flag word of length at most 11, words with one state get
+        the same verdict at each unused rank, and the same state after the
+        unused value of each rank is flagged."""
+        readings: dict[bytes, tuple] = {}
+        for m in range(12):
+            for flags in itertools.product((0, 1), repeat=m):
+                used = bytearray((0, *flags))
+                refuses = _guard3(sigma.entries, used)
+                reading = []
+                for x in range(1, m + 1):
+                    if not used[x]:
+                        verdict = refuses(x) is None
+                        used[x] = 1
+                        reading.append((verdict, _rule_state(used)))
+                        used[x] = 0
+                first = readings.setdefault(_rule_state(used), reading)
+                assert first == reading, flags
+
+    def test_extensions_flag_each_value_while_held(self):
+        used = bytearray((0, 0, 1, 0, 0))
+        held = []
+        for x in _extensions(used, lambda x: x == 4):
+            assert used[x] == 1
+            held.append(x)
+        assert held == [1, 3] and used == bytearray((0, 0, 1, 0, 0))
+
+
 class TestDescentsAndExtrema:
     def test_descent_tops_3215647(self):
         assert descent_tops(perm("3215647")) == ((1, 3), (2, 2), (5, 6))
@@ -248,18 +283,18 @@ class TestDescentsAndExtrema:
 
 class TestWeakOrder:
     def test_single_cover(self):
-        assert bruhat_leq(perm("132"), perm("312"))
+        assert weak_leq(perm("132"), perm("312"))
 
     def test_reflexive(self):
         for sigma in ALL_S3:
-            assert bruhat_leq(sigma, sigma)
+            assert weak_leq(sigma, sigma)
 
     def test_not_downward(self):
-        assert not bruhat_leq(perm("312"), perm("132"))
+        assert not weak_leq(perm("312"), perm("132"))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            bruhat_leq(perm("12"), perm("123"))
+            weak_leq(perm("12"), perm("123"))
 
     @pytest.mark.parametrize("n", range(6))
     def test_equals_reachability_by_ascent_swaps(self, n):
@@ -279,13 +314,13 @@ class TestWeakOrder:
                                 nxt.append(up)
                 frontier = nxt
             for tau in all_permutations(n):
-                assert bruhat_leq(sigma, tau) == (tau.entries in reached), (sigma, tau)
+                assert weak_leq(sigma, tau) == (tau.entries in reached), (sigma, tau)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_partial_order_axioms(self, r):
         perms = all_permutations(r)
         rel = {
-            (a.entries, b.entries): bruhat_leq(a, b)
+            (a.entries, b.entries): weak_leq(a, b)
             for a in perms
             for b in perms
         }
